@@ -44,7 +44,6 @@ from .fieldio import FieldFormatError, field_to_csv, read_field, write_field
 from .inequality_lab import (
     ExponentFit,
     HypothesisViolation,
-    heat_semigroup,
     heat_weighted_sup,
     verify_bernstein,
     verify_embedding,

@@ -351,13 +351,24 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset CLI options from --config; explicit flags win."""
+    """Fill unset CLI options from --config; explicit flags win.  An
+    unreadable file, or a key that names no option of the subcommand, is a
+    usage error."""
     if not getattr(args, "config", None):
         return
-    config = _load_config(args.config)
+    try:
+        config = _load_config(args.config)
+    except (OSError, ValueError) as err:  # missing file, bad JSON or encoding
+        parser.error(f"cannot read --config {args.config}: {err}")
+    if not isinstance(config, dict):
+        parser.error(f"--config {args.config} must hold a JSON object or key = value lines")
+    options = set(vars(args)) - {"command", "func", "defaults", "config"}
+    unknown = sorted(key for key in config if key.replace("-", "_") not in options)
+    if unknown:
+        parser.error(f"unknown --config key(s) for {args.command}: {', '.join(unknown)}")
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
 
 

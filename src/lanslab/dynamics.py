@@ -33,6 +33,7 @@ from .spectral import (
     def_rot,
     divergence,
     forward_transform,
+    heat_propagate,
     helmholtz_inverse,
     inverse_transform,
     leray_project,
@@ -122,7 +123,6 @@ class MildSolverConfig:
     picard_max_iters: int = 40
     contraction_target: float = 0.5
     enforce_weight_relation: bool = False
-    divergence_factor: float = 1e6
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -147,10 +147,15 @@ class MildSolverConfig:
             )
 
     def time_nodes(self) -> np.ndarray:
-        steps = int(round(self.t_end / self.dt))
-        if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ValueError(f"t_end = {self.t_end} is not an integer multiple of dt = {self.dt}")
-        return self.dt * np.arange(steps + 1)
+        return _time_nodes(self.t_end, self.dt)
+
+
+def _time_nodes(t_end: float, dt: float) -> np.ndarray:
+    """Equispaced nodes 0, dt, ..., t_end; t_end must be a multiple of dt."""
+    steps = int(round(t_end / dt))
+    if steps < 1 or abs(steps * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
+    return dt * np.arange(steps + 1)
 
 
 @dataclass
@@ -184,8 +189,11 @@ class Trajectory:
         return self.states[-1]
 
     def node_index(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        """Index of the stored node nearest t; raises unless it matches t."""
+        i = int(np.searchsorted(self.times, t))
+        if i == len(self.times) or (i > 0 and t - self.times[i - 1] <= self.times[i] - t):
+            i -= 1
+        if not abs(self.times[i] - t) <= 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"time {t} is not a stored node of this trajectory")
         return i
 
@@ -225,13 +233,13 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
     df, rf = inverse_transform(d_f), inverse_transform(r_f)
     dg, rg = inverse_transform(d_g), inverse_transform(r_g)
     prod = matrix_product_tensor(df, rg) + matrix_product_tensor(dg, rf)
-    tens = dealias(forward_transform(prod, cfg.grid, f.real_valued and g.real_valued))
+    tens = dealias(forward_transform(prod, cfg.grid))
     stress = helmholtz_inverse(tens, cfg.alpha) * (0.5 * cfg.alpha**2)
     return divergence(stress)
 
 
 def _viscous(u: SpectralField, cfg: LansConfig) -> SpectralField:
-    return SpectralField(u.grid, -cfg.nu * u.grid.k_squared * u.coeffs, u.real_valued)
+    return SpectralField(u.grid, -cfg.nu * u.grid.k_squared * u.coeffs)
 
 
 def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
@@ -266,14 +274,6 @@ def mlans_rhs(u: SpectralField, v: SpectralField, cfg: LansConfig) -> SpectralFi
     u = dealias(u)
     v = dealias(v)
     return _viscous(u, cfg) + nonlinear_rhs(u, cfg, v)
-
-
-def heat_propagate(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField:
-    """Exact heat semigroup exp(nu t Lap) as a diagonal multiplier; t >= 0."""
-    if t < 0:
-        raise ValueError(f"heat propagation needs t >= 0, got {t}")
-    mult = np.exp(-nu * t * f.grid.k_squared)
-    return SpectralField(f.grid, f.coeffs * mult, f.real_valued)
 
 
 def _background_states(v_traj: Trajectory | None, times: np.ndarray, grid: TorusGrid) -> list:
@@ -314,32 +314,32 @@ def duhamel_map(
         else:  # euler: left endpoint
             integral = step_mult * (integral + dt * n_fields[i - 1].coeffs)
         coeffs = heat_propagate(u0, times[i], cfg.nu).coeffs + integral
-        states.append(SpectralField(grid, coeffs, u0.real_valued))
+        states.append(SpectralField(grid, coeffs))
     return Trajectory(times, states, equation=traj.equation, config=cfg, extras=dict(traj.extras))
 
 
-def weighted_norm(
-    traj: Trajectory,
-    a: float,
-    index: BesovIndex,
-    t_end: float | None = None,
-    partition=None,
-) -> float:
-    """sup over stored nodes in (0, t_end] of t^a * besov_norm(u(t)); the
-    t = 0 node participates only when a = 0."""
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    part = partition or build_partition(traj.grid)
-    horizon = traj.times[-1] if t_end is None else t_end
-    best = 0.0
-    for t, state in zip(traj.times, traj.states):
-        if t > horizon * (1 + 1e-12):
-            break
+def _weighted_trace(times, fields, a: float, index: BesovIndex, part) -> tuple:
+    """(times, t^a * besov_norm(field)) over the nodes.  The t = 0 node is
+    skipped when a > 0 and has weight 1 otherwise."""
+    ts, values = [], []
+    for t, f in zip(times, fields):
         if t == 0.0 and a > 0:
             continue
-        w = 1.0 if t == 0.0 else t**a
-        best = max(best, w * part.besov_norm(state, index))
-    return best
+        ts.append(t)
+        values.append((1.0 if t == 0.0 else t**a) * part.besov_norm(f, index))
+    return np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
+
+
+def _weighted_sup(times, fields, a: float, index: BesovIndex, part) -> float:
+    """sup_t t^a * besov_norm(field) over the nodes, 0.0 when none counts."""
+    return float(np.max(_weighted_trace(times, fields, a, index, part)[1], initial=0.0))
+
+
+def weighted_norm(traj: Trajectory, a: float, index: BesovIndex, partition=None) -> float:
+    """sup over stored nodes of t^a * besov_norm(u(t)); the t = 0 node
+    participates only when a = 0."""
+    part = partition or build_partition(traj.grid)
+    return _weighted_sup(traj.times, traj.states, a, index, part)
 
 
 def e_norm(
@@ -347,18 +347,15 @@ def e_norm(
     u0: SpectralField,
     weight_a: float,
     weight_index: BesovIndex,
-    base_index: BesovIndex | None = None,
     nu: float = 1.0,
     partition=None,
 ) -> float:
     """Composite iteration norm: sup_t ||u(t) - exp(nu t Lap) u0|| in the
-    base space plus the weighted sup in the target space."""
+    base space B^(n/2)_(2,q) plus the weighted sup in the target space."""
     part = partition or build_partition(traj.grid)
-    n = traj.grid.dim
-    base = base_index or BesovIndex(n / 2.0, 2.0, weight_index.q)
-    drift = 0.0
-    for t, state in zip(traj.times, traj.states):
-        drift = max(drift, part.besov_norm(state - heat_propagate(u0, t, nu), base))
+    base = BesovIndex(traj.grid.dim / 2.0, 2.0, weight_index.q)
+    drifts = (state - heat_propagate(u0, t, nu) for t, state in zip(traj.times, traj.states))
+    drift = _weighted_sup(traj.times, drifts, 0.0, base, part)
     return drift + weighted_norm(traj, weight_a, weight_index, partition=part)
 
 
@@ -423,7 +420,7 @@ def picard_iterate(
                 history,
             )
         first_delta = history[0].delta_norm
-        if delta > mcfg.divergence_factor * max(first_delta, mcfg.picard_tol):
+        if delta > 1e6 * max(first_delta, mcfg.picard_tol):
             raise PicardDivergenceError("iterates are blowing up", ratio if ratio else np.inf, history)
         if m >= 3 and all(h.ratio is not None and h.ratio >= 1.0 for h in history[-2:]) and delta > first_delta:
             raise PicardDivergenceError("no contraction", history[-1].ratio, history)
@@ -437,13 +434,8 @@ def picard_iterate(
 
 
 def _weighted_distance(a: Trajectory, b: Trajectory, mcfg: MildSolverConfig, part) -> float:
-    best = 0.0
-    for i, t in enumerate(a.times):
-        if t == 0.0 and mcfg.weight_a > 0:
-            continue
-        w = 1.0 if t == 0.0 else t**mcfg.weight_a
-        best = max(best, w * part.besov_norm(a.states[i] - b.states[i], mcfg.weight_index))
-    return best
+    gaps = (x - y for x, y in zip(a.states, b.states))
+    return _weighted_sup(a.times, gaps, mcfg.weight_a, mcfg.weight_index, part)
 
 
 def _phi_factors(z: np.ndarray) -> tuple:
@@ -471,10 +463,8 @@ def _march(
 ) -> Trajectory:
     grid = cfg.grid
     require_solenoidal(u0)
-    steps = int(round(t_end / dt))
-    if steps < 1 or abs(steps * dt - t_end) > 1e-9 * t_end:
-        raise ValueError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
-    times = dt * np.arange(steps + 1)
+    times = _time_nodes(t_end, dt)
+    steps = len(times) - 1
     v_states = _background_states(v_traj, times, grid)
 
     z = -cfg.nu * dt * grid.k_squared
@@ -485,12 +475,12 @@ def _march(
     for i in range(steps):
         if nonlinear:
             n_u = nonlinear_rhs(u, cfg, v_states[i])
-            stage = SpectralField(grid, e_dt * u.coeffs + dt * phi1 * n_u.coeffs, u.real_valued)
+            stage = SpectralField(grid, e_dt * u.coeffs + dt * phi1 * n_u.coeffs)
             n_stage = nonlinear_rhs(stage, cfg, v_states[i + 1])
             nxt = stage.coeffs + dt * phi2 * (n_stage.coeffs - n_u.coeffs)
         else:
             nxt = e_dt * u.coeffs
-        u = leray_project(dealias(SpectralField(grid, nxt, u.real_valued)))
+        u = leray_project(dealias(SpectralField(grid, nxt)))
         if not np.all(np.isfinite(u.coeffs.view(np.float64))):
             raise SolverBlowupError(i + 1, float(times[i + 1]))
         states.append(u)

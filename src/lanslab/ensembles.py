@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .littlewood_paley import _default_j_max
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -47,8 +48,7 @@ def as_rng(seed) -> np.random.Generator:
 
 def coverage_k_max(grid: TorusGrid) -> float:
     """Top wavenumber 2^J fully covered by the default dyadic partition."""
-    j_max = int(np.floor(np.log2(grid.k_max + 1e-12))) - 1
-    return 2.0**j_max
+    return 2.0 ** _default_j_max(grid)
 
 
 def band_mask(grid: TorusGrid, k_min: float, k_max: float) -> np.ndarray:
@@ -112,7 +112,7 @@ def random_band_limited(
         coeffs = coeffs * r ** (-decay)
     if zero_mean:
         coeffs[(...,) + (0,) * grid.dim] = 0.0
-    return dealias(SpectralField(grid, coeffs, True))
+    return dealias(SpectralField(grid, coeffs))
 
 
 def random_solenoidal(
@@ -133,13 +133,12 @@ def shell_field(
     rng,
     coherent: bool = False,
     lead: tuple = (),
-    profile_width: float = 0.35,
 ) -> SpectralField:
     """Random field supported on the open dyadic annulus 2^(j-1) < |k| < 2^(j+1).
 
     Used for two-sided Bernstein checks; coherent=True gives the bump-like
     profile that saturates L^p -> L^q gains.  A Gaussian radial envelope of
-    relative width profile_width keeps the family self-similar across j;
+    relative width 0.35 keeps the family self-similar across j;
     a sharp indicator leaks slowly decaying sidelobes into high-p norms.
     """
     lo = 2.0 ** (j - 1)
@@ -148,14 +147,14 @@ def shell_field(
     mask = (r > lo) & (r < hi)
     if not np.any(mask):
         raise ValueError(f"shell {j} holds no lattice points on this grid")
-    envelope = np.exp(-(((r - 2.0**j) / (profile_width * 2.0**j)) ** 2)) * mask
+    envelope = np.exp(-(((r - 2.0**j) / (0.35 * 2.0**j)) ** 2)) * mask
     rng = as_rng(rng)
     if coherent:
         coeffs = _coherent_phases(grid, rng) * envelope
         coeffs = np.broadcast_to(coeffs, lead + grid.shape).copy()
     else:
         coeffs = _hermitian_noise(grid, rng, lead) * envelope
-    return SpectralField(grid, coeffs, True)
+    return SpectralField(grid, coeffs)
 
 
 def power_law_field(

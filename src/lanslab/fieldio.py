@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -32,7 +33,6 @@ def write_field(path, field: SpectralField, extra: dict | None = None):
         "box_length": field.grid.box_length,
         "dealias_fraction": field.grid.dealias_fraction,
         "shape": list(field.coeffs.shape),
-        "real_valued": field.real_valued,
     }
     if extra:
         header["extra"] = extra
@@ -45,26 +45,53 @@ def write_field(path, field: SpectralField, extra: dict | None = None):
         fh.write(payload)
 
 
+def _typed(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _parse_header(path, blob: bytes):
+    """Grid and coefficient shape from a header.  Unknown keys are ignored,
+    among them the conjugate-symmetry flag that older writers stored."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        dim, n, length, fraction, shape = (header[key] for key in (
+            "dim", "points_per_axis", "box_length", "dealias_fraction", "shape"))
+    except (ValueError, TypeError, KeyError) as err:  # not UTF-8, not JSON, not an object, key missing
+        raise FieldFormatError(f"{path}: unreadable header ({type(err).__name__}: {err})") from None
+    if not (_typed(dim, int) and _typed(n, int) and _typed(length, (int, float)) and _typed(fraction, (int, float))):
+        raise FieldFormatError(f"{path}: ill-typed grid parameters")
+    try:
+        grid = TorusGrid(dim, n, length, fraction)
+    except ValueError as err:
+        raise FieldFormatError(f"{path}: invalid grid: {err}") from None
+    rank = len(shape) - dim if isinstance(shape, list) else -1
+    if not (0 <= rank <= 2 and all(_typed(m, int) for m in shape) and tuple(shape) == (dim,) * rank + grid.shape):
+        raise FieldFormatError(f"{path}: shape {shape!r} does not fit the grid {grid.shape}")
+    return grid, tuple(shape)
+
+
 def read_field(path) -> SpectralField:
+    """Parse a checkpoint; every malformed file raises FieldFormatError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise FieldFormatError(f"{path}: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        shape = tuple(header["shape"])
-        count = int(np.prod(shape))
-        raw = fh.read(count * 16)
-        if len(raw) != count * 16:
-            raise FieldFormatError(f"{path}: truncated payload")
-        coeffs = np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
-    grid = TorusGrid(
-        dim=header["dim"],
-        points_per_axis=header["points_per_axis"],
-        box_length=header["box_length"],
-        dealias_fraction=header["dealias_fraction"],
-    )
-    return SpectralField(grid, coeffs, header["real_valued"])
+        prefix = fh.read(4)
+        if len(prefix) != 4:
+            raise FieldFormatError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<I", prefix)
+        blob = fh.read(hlen)
+        if len(blob) != hlen:
+            raise FieldFormatError(f"{path}: truncated header")
+        grid, shape = _parse_header(path, blob)
+        raw = fh.read()
+    size = 16 * math.prod(shape)
+    if len(raw) < size:
+        raise FieldFormatError(f"{path}: truncated payload")
+    if len(raw) > size:
+        raise FieldFormatError(f"{path}: trailing bytes after the payload")
+    coeffs = np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
+    return SpectralField(grid, coeffs)
 
 
 def field_to_csv(path, field: SpectralField, manifest_hash: str | None = None):
@@ -82,8 +109,5 @@ def field_to_csv(path, field: SpectralField, manifest_hash: str | None = None):
         writer.writerow([f"x{i+1}" for i in range(g.dim)] + [f"f{i+1}" for i in range(ncomp)])
         for row in range(coords.shape[1]):
             rec = [f"{coords[i, row]:.17g}" for i in range(g.dim)]
-            if np.iscomplexobj(values):
-                rec += [f"{values[i, row].real:.17g}" for i in range(ncomp)]
-            else:
-                rec += [f"{values[i, row]:.17g}" for i in range(ncomp)]
+            rec += [f"{values[i, row]:.17g}" for i in range(ncomp)]
             writer.writerow(rec)

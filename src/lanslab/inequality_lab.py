@@ -15,13 +15,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .ensembles import as_rng, coverage_k_max, power_law_field, random_band_limited, shell_field
+from .ensembles import as_rng, random_band_limited, shell_field
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     SpectralField,
     TorusGrid,
     dealias,
     forward_transform,
+    heat_propagate,
     inverse_transform,
     l2_norm,
     laplacian_power,
@@ -37,7 +38,6 @@ __all__ = [
     "verify_product_estimate",
     "verify_embedding",
     "verify_ladyzhenskaya",
-    "heat_semigroup",
     "heat_weighted_sup",
     "MIN_FIT_POINTS",
     "R_SQUARED_FLOOR",
@@ -193,14 +193,6 @@ def verify_bernstein(
     )
 
 
-def heat_semigroup(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField:
-    """exp(nu * t * Laplacian) applied as an exact multiplier; t >= 0."""
-    if t < 0:
-        raise ValueError(f"heat semigroup needs t >= 0, got {t}")
-    mult = np.exp(-nu * t * f.grid.k_squared)
-    return SpectralField(f.grid, f.coeffs * mult, f.real_valued)
-
-
 def verify_heat_smoothing(
     s1: float,
     p1: float,
@@ -258,7 +250,7 @@ def verify_heat_smoothing(
     for e in range(ensemble):
         for i, j in enumerate(levels):
             f = shell_field(grid, j, rng, coherent=coherent)
-            ratio = part.besov_norm(heat_semigroup(f, times[i]), idx2) / part.besov_norm(f, idx1)
+            ratio = part.besov_norm(heat_propagate(f, times[i]), idx2) / part.besov_norm(f, idx1)
             per_level[e, i] = ratio
 
     log_t = np.log2(np.asarray(times))
@@ -308,7 +300,7 @@ def heat_weighted_sup(
     out = []
     for T in horizons:
         ts = np.geomspace(T / 256.0, T, samples_per_horizon)
-        vals = [t**sigma * part.besov_norm(heat_semigroup(f, t, nu), index) for t in ts]
+        vals = [t**sigma * part.besov_norm(heat_propagate(f, t, nu), index) for t in ts]
         out.append(float(np.max(vals)))
     return out
 

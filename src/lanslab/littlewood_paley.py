@@ -20,7 +20,7 @@ to |k| <= 2^J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,6 @@ from .spectral import (
     dealias,
     forward_transform,
     inverse_transform,
-    l2_norm,
     lp_norm,
 )
 
@@ -149,12 +148,12 @@ class DyadicPartition:
         if not 0 <= j <= self.j_max:
             raise ValueError(f"block index {j} outside 0..{self.j_max}")
         self._check_grid(f)
-        return SpectralField(f.grid, f.coeffs * self.multipliers[j], f.real_valued)
+        return SpectralField(f.grid, f.coeffs * self.multipliers[j])
 
     def s_j(self, f: SpectralField, j: int) -> SpectralField:
         """Cumulative low-pass sum of blocks 0..j."""
         self._check_grid(f)
-        return SpectralField(f.grid, f.coeffs * self.lowpass_multiplier(j), f.real_valued)
+        return SpectralField(f.grid, f.coeffs * self.lowpass_multiplier(j))
 
     def decompose(self, f: SpectralField) -> LPBlocks:
         self._check_grid(f)
@@ -219,8 +218,7 @@ class DyadicPartition:
                     near += blocks_g[k + l]
             resonant += blocks_f[k] * near
 
-        real = f.real_valued and g.real_valued
-        mk = lambda arr: dealias(forward_transform(arr, self.grid, real))
+        mk = lambda arr: dealias(forward_transform(arr, self.grid))
         return ParaproductPieces(mk(low_high), mk(high_low), mk(resonant))
 
     def kernel(self, j: int) -> SpectralField:
@@ -230,18 +228,23 @@ class DyadicPartition:
         its L^p norms scale like 2^(j n (1 - 1/p)) in the shell index.
         """
         coeffs = self.multipliers[j].astype(np.complex128) / self.grid.box_length**self.grid.dim
-        return SpectralField(self.grid, coeffs, True)
+        return SpectralField(self.grid, coeffs)
 
     def _check_grid(self, f: SpectralField):
         if f.grid != self.grid:
             raise ValueError("field grid does not match partition grid")
 
 
+def _default_j_max(grid: TorusGrid) -> int:
+    """Largest J with 2^(J+1) <= K_max (may be < 1 on coarse grids)."""
+    return int(np.floor(np.log2(grid.k_max + 1e-12))) - 1
+
+
 def build_partition(grid: TorusGrid, j_max: int | None = None) -> DyadicPartition:
     """Build the partition with the largest J satisfying 2^(J+1) <= K_max
     unless an explicit j_max is requested."""
     if j_max is None:
-        j_max = int(np.floor(np.log2(grid.k_max + 1e-12))) - 1
+        j_max = _default_j_max(grid)
         if j_max < 1:
             raise ValueError(
                 f"grid too coarse for a dyadic partition: K_max = {grid.k_max:.2f} < 4"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import LansConfig, Trajectory, _march, reynolds_stress
+from .dynamics import LansConfig, Trajectory, _march, _weighted_sup, _weighted_trace, reynolds_stress
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     SpectralField,
@@ -96,7 +96,7 @@ def _convective(u: SpectralField, w: SpectralField) -> SpectralField:
     pu = inverse_transform(u)
     jac = inverse_transform(gradient(w))  # jac[i, j] = d_j w_i
     conv = np.einsum("j...,ij...->i...", pu, jac)
-    return forward_transform(conv, u.grid, u.real_valued and w.real_valued)
+    return forward_transform(conv, u.grid)
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,12 @@ def cancellation_check(u: SpectralField, alpha: float) -> CancellationResiduals:
 
     # filter-level pair: (u.grad)(Lap u) . u plus (Lap u)_i d_j u_i u_j;
     # each half is nonzero, the sum cancels through the divergence condition
-    lap_u = SpectralField(grid, -grid.k_squared * u.coeffs, u.real_valued)
+    lap_u = SpectralField(grid, -grid.k_squared * u.coeffs)
     t1 = l2_inner(_convective(u, lap_u), u)
     p_lap = inverse_transform(lap_u)
     jac = inverse_transform(gradient(u))  # jac[i, j] = d_j u_i
     h = np.einsum("i...,ij...->j...", p_lap, jac)
-    t2 = l2_inner(forward_transform(h, grid, u.real_valued), u)
+    t2 = l2_inner(forward_transform(h, grid), u)
     raw2 = alpha**2 * (t1 + t2)
     den2 = max(abs(t1), abs(t2))
     i2 = abs(t1 + t2) / den2 if den2 > 0 else 0.0
@@ -153,13 +153,6 @@ def cancellation_check(u: SpectralField, alpha: float) -> CancellationResiduals:
     i3 = abs(raw3) / den3 if den3 > 0 else 0.0
 
     return CancellationResiduals(i1, i2, i3, raw1, raw2, raw3)
-
-
-def _cumulative_trapezoid(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    for i in range(1, len(values)):
-        out[i] = out[i - 1] + 0.5 * (times[i] - times[i - 1]) * (values[i] + values[i - 1])
-    return out
 
 
 def _check_aligned(u_traj: Trajectory, v_traj: Trajectory | None):
@@ -176,15 +169,14 @@ def gronwall_monitor(
     v_traj: Trajectory | None,
     alpha: float,
     constant: float | None = None,
-    integrand_p: float = 2.0,
 ) -> EnergyReport:
-    """Energy pair along u against exp(C alpha^-2 int ||v||_(H^2,p)).
+    """Energy pair along u against exp(C alpha^-2 int ||v||_(H^2,2)).
 
     The background norm uses the inhomogeneous multiplier (1 + |k|^2)
-    followed by L^p quadrature.  `constant` is the frozen calibrated C; if
+    followed by L^2.  `constant` is the frozen calibrated C; if
     omitted it is fitted on this very run (flagged in extras, such a report
     must not be used as a pass).  Also traces the sign condition
-    C ||v(t)||_(L^p) - 1 < 0; reported, never enforced.
+    C ||v(t)||_(L^2) - 1 < 0; reported, never enforced.
     """
     _check_aligned(u_traj, v_traj)
     if alpha <= 0:
@@ -198,9 +190,11 @@ def gronwall_monitor(
         integrand = np.zeros_like(times)
         v_lp = np.zeros_like(times)
     else:
-        integrand = np.array([sobolev_norm(s, 2.0, integrand_p, homogeneous=False) for s in v_traj.states])
-        v_lp = np.array([lp_norm(s, integrand_p) for s in v_traj.states])
-    accumulated = _cumulative_trapezoid(times, integrand)
+        integrand = np.array([sobolev_norm(s, 2.0, 2.0, homogeneous=False) for s in v_traj.states])
+        v_lp = np.array([lp_norm(s, 2.0) for s in v_traj.states])
+    # cumulative trapezoid rule, accumulated left to right
+    increments = 0.5 * np.diff(times) * (integrand[1:] + integrand[:-1])
+    accumulated = np.concatenate(([0.0], np.cumsum(increments)))
 
     calibrated_here = constant is None
     if calibrated_here:
@@ -218,7 +212,6 @@ def gronwall_monitor(
             "calibrated_in_place": calibrated_here,
             "accumulated_integral": accumulated,
             "sign_condition": constant * v_lp - 1.0,
-            "integrand_p": integrand_p,
         },
     )
 
@@ -233,20 +226,14 @@ def _fit_gronwall_constant(e: np.ndarray, accumulated: np.ndarray, alpha: float)
     return best
 
 
-def calibrate_gronwall_constant(
-    runs: list,
-    alpha: float,
-    integrand_p: float = 2.0,
-    headroom: float = 1.5,
-) -> float:
+def calibrate_gronwall_constant(runs: list, alpha: float) -> float:
     """Fit C over one or more (u_traj, v_traj) calibration runs, then
-    inflate by `headroom`.  The result is meant to be frozen and reused on
-    fresh seeds."""
+    inflate by 1.5.  The result is meant to be frozen and reused on fresh
+    seeds."""
     best = 0.0
     for u_traj, v_traj in runs:
-        rep = gronwall_monitor(u_traj, v_traj, alpha, constant=None, integrand_p=integrand_p)
-        best = max(best, rep.extras["constant"])
-    return headroom * best
+        best = max(best, gronwall_monitor(u_traj, v_traj, alpha).extras["constant"])
+    return 1.5 * best
 
 
 @dataclass
@@ -297,7 +284,7 @@ def _truncation_defect(u: SpectralField) -> float:
     full = sobolev_norm(u, 3.0, homogeneous=True)
     if full == 0.0:
         return 0.0
-    half = sobolev_norm(SpectralField(grid, u.coeffs * mask, u.real_valued), 3.0, homogeneous=True)
+    half = sobolev_norm(SpectralField(grid, u.coeffs * mask), 3.0, homogeneous=True)
     return abs(full - half) / full
 
 
@@ -488,19 +475,11 @@ class TraceReport:
 
 
 def higher_regularity_trace(traj: Trajectory, k: float, base: float, q: float = 2.0) -> TraceReport:
-    part = build_partition(traj.grid)
     weight = (k - base) / 2.0
-    idx = BesovIndex(k, 2.0, q)
-    ts, vals = [], []
-    for t, state in zip(traj.times, traj.states):
-        if t == 0.0 and weight > 0:
-            continue
-        w = 1.0 if t == 0.0 else t**weight
-        ts.append(t)
-        vals.append(w * part.besov_norm(state, idx))
-    values = np.asarray(vals)
+    part = build_partition(traj.grid)
+    times, values = _weighted_trace(traj.times, traj.states, weight, BesovIndex(k, 2.0, q), part)
     return TraceReport(
-        times=np.asarray(ts),
+        times=times,
         values=values,
         weight=weight,
         sup_value=float(np.max(values)),
@@ -538,7 +517,5 @@ def bootstrap_consistency(
         _check_aligned(traj, v_traj)
         v_slice = Trajectory(times[i1:] - times[i1], v_traj.states[i1:], equation=v_traj.equation, config=v_traj.config)
     rerun = _march(traj.states[i1], cfg, t_rem, dt, v_slice, True, traj.equation)
-    worst = 0.0
-    for k, state in enumerate(rerun.states):
-        worst = max(worst, part.besov_norm(state - traj.states[i1 + k], idx))
-    return worst
+    gaps = (a - b for a, b in zip(rerun.states, traj.states[i1:]))
+    return _weighted_sup(rerun.times, gaps, 0.0, idx, part)

@@ -25,6 +25,8 @@ from .dynamics import (
     MildSolverConfig,
     PicardDivergenceError,
     Trajectory,
+    _weighted_sup,
+    _weighted_trace,
     picard_iterate,
     solve_lans,
     solve_mlans,
@@ -121,10 +123,6 @@ def make_rough_data(grid, seed: int, scale: float, q: float = 2.0):
     return w0 * (scale / norm), part
 
 
-def _max_besov_gap(states_a, states_b, part, idx) -> float:
-    return max(part.besov_norm(a - b, idx) for a, b in zip(states_a, states_b))
-
-
 def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
     from .spectral import TorusGrid
 
@@ -198,17 +196,18 @@ def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
 
     idx = BesovIndex(3.0 / pcfg.p, pcfg.p, pcfg.q)
     sums = [u + v for u, v in zip(u_traj.states, v_traj.states)]
-    disc_trace = np.array([part.besov_norm(s - w, idx) for s, w in zip(sums, w_traj.states)])
+    gaps = (s - w for s, w in zip(sums, w_traj.states))
+    _, disc_trace = _weighted_trace(w_traj.times, gaps, 0.0, idx, part)
     discrepancy = float(np.max(disc_trace))
 
     # self-convergence at dt/2 for both sides of the comparison
     w_half = solve_lans(w0, cfg, pcfg.t_end, dt / 2.0)
-    err_w = _max_besov_gap(w_traj.states, w_half.states[::2], part, idx)
+    err_w = _weighted_sup(w_traj.times, (a - b for a, b in zip(w_traj.states, w_half.states[::2])), 0.0, idx, part)
     del w_half
     v_half = solve_lans(v0, cfg, pcfg.t_end, dt / 2.0)
     u_half = solve_mlans(u0, v_half, cfg, pcfg.t_end, dt / 2.0)
     sums_half = [u + v for u, v in zip(u_half.states[::2], v_half.states[::2])]
-    err_uv = _max_besov_gap(sums, sums_half, part, idx)
+    err_uv = _weighted_sup(w_traj.times, (a - b for a, b in zip(sums, sums_half)), 0.0, idx, part)
     del u_half, v_half, sums_half
     self_error = max(err_w, err_uv)
 

@@ -32,6 +32,7 @@ __all__ = [
     "divergence",
     "laplacian_power",
     "helmholtz_inverse",
+    "heat_propagate",
     "leray_project",
     "def_rot",
     "lp_norm",
@@ -79,8 +80,8 @@ class TorusGrid:
         n = self.points_per_axis
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 8, got {n}")
-        if not (0.0 < self.box_length):
-            raise ValueError("box_length must be positive")
+        if not (0.0 < self.box_length < np.inf):
+            raise ValueError("box_length must be positive and finite")
         if not (0.0 < self.dealias_fraction <= 1.0):
             raise ValueError("dealias_fraction must lie in (0, 1]")
 
@@ -159,13 +160,13 @@ class SpectralField:
     2-tensor (rank 2) field on a TorusGrid.
 
     coeffs has shape lead_shape + grid.shape where lead_shape is (),
-    (dim,) or (dim, dim).  real_valued marks conjugate symmetry; every
-    operator here preserves it.
+    (dim,) or (dim, dim).  Fields are real: inverse_transform keeps the
+    real part, which loses content wherever the coefficients are not
+    conjugate symmetric, e.g. after the odd multiplier i k at k = -N/2.
     """
 
     grid: TorusGrid
     coeffs: np.ndarray
-    real_valued: bool = True
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -191,23 +192,23 @@ class SpectralField:
         return self.coeffs[(...,) + (0,) * self.grid.dim]
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), self.real_valued)
+        return SpectralField(self.grid, self.coeffs.copy())
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs, self.real_valued and other.real_valued)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs, self.real_valued and other.real_valued)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar, self.real_valued and not np.iscomplexobj(np.asarray(scalar)))
+        return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs, self.real_valued)
+        return SpectralField(self.grid, -self.coeffs)
 
 
 def _check_same_grid(a: SpectralField, b: SpectralField):
@@ -220,34 +221,28 @@ def zero_field(grid: TorusGrid, rank: int = 1) -> SpectralField:
     return SpectralField(grid, np.zeros(lead + grid.shape, dtype=np.complex128))
 
 
-def forward_transform(samples: np.ndarray, grid: TorusGrid, real_valued: bool | None = None) -> SpectralField:
+def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
     """Physical samples -> Fourier coefficients (series normalization)."""
     samples = np.asarray(samples)
-    if real_valued is None:
-        real_valued = not np.iscomplexobj(samples)
     axes = tuple(range(samples.ndim - grid.dim, samples.ndim))
     coeffs = np.fft.fftn(samples, axes=axes) / grid.points_per_axis**grid.dim
-    return SpectralField(grid, coeffs, real_valued)
+    return SpectralField(grid, coeffs)
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Fourier coefficients -> physical samples (real array if real_valued)."""
+    """Fourier coefficients -> real physical samples."""
     axes = tuple(range(field.coeffs.ndim - field.grid.dim, field.coeffs.ndim))
     samples = np.fft.ifftn(field.coeffs, axes=axes) * field.grid.points_per_axis**field.grid.dim
-    if field.real_valued:
-        return samples.real
-    return samples
+    return samples.real
 
 
 def dealias(field: SpectralField) -> SpectralField:
     """Zero every coefficient with max-norm frequency above K_max."""
-    return SpectralField(field.grid, field.coeffs * field.grid.dealias_mask, field.real_valued)
+    return SpectralField(field.grid, field.coeffs * field.grid.dealias_mask)
 
 
-def _apply_multiplier(field: SpectralField, multiplier: np.ndarray, real_valued: bool | None = None) -> SpectralField:
-    if real_valued is None:
-        real_valued = field.real_valued
-    return SpectralField(field.grid, field.coeffs * multiplier, real_valued)
+def _apply_multiplier(field: SpectralField, multiplier: np.ndarray) -> SpectralField:
+    return SpectralField(field.grid, field.coeffs * multiplier)
 
 
 def gradient(field: SpectralField) -> SpectralField:
@@ -260,7 +255,7 @@ def gradient(field: SpectralField) -> SpectralField:
     g = field.grid
     parts = [field.coeffs * (1j * k) for k in g.wavenumbers]
     coeffs = np.stack(parts, axis=field.rank)
-    return SpectralField(g, coeffs, field.real_valued)
+    return SpectralField(g, coeffs)
 
 
 def divergence(field: SpectralField) -> SpectralField:
@@ -274,7 +269,7 @@ def divergence(field: SpectralField) -> SpectralField:
         idx = (slice(None),) * (field.rank - 1) + (j,)
         term = field.coeffs[idx] * (1j * k)
         out = term if out is None else out + term
-    return SpectralField(g, out, field.real_valued)
+    return SpectralField(g, out)
 
 
 def laplacian_power(field: SpectralField, beta: float) -> SpectralField:
@@ -310,6 +305,13 @@ def helmholtz_inverse(field: SpectralField, alpha: float) -> SpectralField:
     return _apply_multiplier(field, mult)
 
 
+def heat_propagate(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField:
+    """Exact heat semigroup exp(nu t Lap) as a diagonal multiplier; t >= 0."""
+    if t < 0:
+        raise ValueError(f"heat propagation needs t >= 0, got {t}")
+    return _apply_multiplier(f, np.exp(-nu * t * f.grid.k_squared))
+
+
 def leray_project(field: SpectralField) -> SpectralField:
     """Per-mode projection onto divergence-free fields, identity at k = 0."""
     if field.rank != 1:
@@ -326,7 +328,7 @@ def leray_project(field: SpectralField) -> SpectralField:
     out = np.empty_like(field.coeffs)
     for j, k in enumerate(g.wavenumbers):
         out[j] = field.coeffs[j] - k * kdotu
-    return SpectralField(g, out, field.real_valued)
+    return SpectralField(g, out)
 
 
 def def_rot(field: SpectralField) -> tuple:
@@ -339,8 +341,8 @@ def def_rot(field: SpectralField) -> tuple:
         raise ValueError("def_rot acts on vector fields")
     G = gradient(field)
     GT = np.swapaxes(G.coeffs, 0, 1)
-    D = SpectralField(field.grid, 0.5 * (G.coeffs + GT), field.real_valued)
-    R = SpectralField(field.grid, 0.5 * (G.coeffs - GT), field.real_valued)
+    D = SpectralField(field.grid, 0.5 * (G.coeffs + GT))
+    R = SpectralField(field.grid, 0.5 * (G.coeffs - GT))
     return D, R
 
 
@@ -409,7 +411,7 @@ def outer_product(u: SpectralField, v: SpectralField) -> SpectralField:
     pu = inverse_transform(u)
     pv = inverse_transform(v)
     tens = pu[:, None] * pv[None, :]
-    return dealias(forward_transform(tens, u.grid, u.real_valued and v.real_valued))
+    return dealias(forward_transform(tens, u.grid))
 
 
 def matrix_product_tensor(a_phys: np.ndarray, b_phys: np.ndarray) -> np.ndarray:
@@ -424,7 +426,7 @@ def advection_tensor(u: SpectralField, v: SpectralField) -> SpectralField:
     pu = inverse_transform(u)
     pv = inverse_transform(v)
     tens = pu[:, None] * pv[None, :] + pv[:, None] * pu[None, :]
-    return dealias(forward_transform(tens, u.grid, u.real_valued and v.real_valued))
+    return dealias(forward_transform(tens, u.grid))
 
 
 def relative_divergence(u: SpectralField) -> float:

@@ -1,13 +1,19 @@
 """Shared fixtures: small grids and their dyadic partitions.
 
 Session scope keeps the FFT plans and multiplier stacks warm; every test
-that mutates a field works on copies, so sharing is safe.
+that mutates a field works on copies, so sharing is safe.  Property tests
+run under a derandomized hypothesis profile with a small example budget,
+so every run draws the same cases.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lanslab import TorusGrid, build_partition
+
+settings.register_profile("lanslab", derandomize=True, deadline=None, max_examples=25, database=None)
+settings.load_profile("lanslab")
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,29 @@ class TestConfigFile:
               "--config", str(cfg), "--out", str(out)])
         assert read_report(out / "verify.json")["n"] == 32
 
+    @pytest.mark.parametrize("text", ["stpes = 8\n", '{"steps": 8, "func": 1}'])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--n", "16", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown --config key" in err
+        assert ("stpes" if "stpes" in text else "func") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, '{"n": 16,}', "[16]"], ids=["missing", "bad JSON", "JSON list"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "partition", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_json_config_accepted(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"suite": "partition", "n": 16}))

@@ -401,3 +401,11 @@ class TestConfigValidation:
         assert traj.node_index(0.1) == 1
         with pytest.raises(ValueError):
             traj.node_index(0.05)
+
+    def test_node_index_on_long_trajectory(self, grid16_mod):
+        times = 0.001 * np.arange(1001)
+        traj = Trajectory(times, [zero_field(grid16_mod)] * len(times))
+        assert [traj.node_index(t) for t in times] == list(range(1001))
+        for t in (0.0005, 0.4995, 0.9995, -0.001, 1.001):
+            with pytest.raises(ValueError):
+                traj.node_index(t)

@@ -1,13 +1,16 @@
 """Binary checkpoint and CSV export round-trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lanslab import (
     FieldFormatError,
     field_to_csv,
+    forward_transform,
     l2_norm,
     random_solenoidal,
     read_field,
@@ -28,7 +31,6 @@ class TestBinaryRoundTrip:
         back = read_field(path)
         assert np.array_equal(back.coeffs, sample.coeffs)
         assert back.grid == sample.grid
-        assert back.real_valued == sample.real_valued
 
     def test_extra_header_survives(self, tmp_path, sample):
         path = tmp_path / "u.field"
@@ -90,3 +92,116 @@ class TestCsvExport:
         path = tmp_path / "u.field"
         write_field(path, sample)
         assert l2_norm(read_field(path)) == l2_norm(sample)
+
+
+@pytest.fixture(scope="module")
+def scalar8(grid8):
+    return forward_transform(np.random.default_rng(3).standard_normal(grid8.shape), grid8)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory, scalar8):
+    """Bytes of a valid 8^3 scalar checkpoint."""
+    path = tmp_path_factory.mktemp("ckpt") / "s.field"
+    write_field(path, scalar8, extra={"seed": 3})
+    return path.read_bytes()
+
+
+def split_checkpoint(raw: bytes) -> tuple:
+    """(header dict, payload bytes) of a checkpoint."""
+    (hlen,) = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])
+    start = len(MAGIC) + 4
+    return json.loads(raw[start : start + hlen]), raw[start + hlen :]
+
+
+def rebuild(header, payload: bytes) -> bytes:
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob + payload
+
+
+def with_header(**changes):
+    """Mutation that rewrites header keys (None deletes one) over the same payload."""
+
+    def mutate(raw):
+        header, payload = split_checkpoint(raw)
+        for key, value in changes.items():
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+        return rebuild(header, payload)
+
+    return mutate
+
+
+def with_blob(blob: bytes):
+    return lambda raw: rebuild(blob, split_checkpoint(raw)[1])
+
+
+MALFORMED = {
+    "short length prefix": lambda raw: MAGIC + b"\x05\x00",
+    "truncated header": lambda raw: raw[: len(MAGIC) + 12],
+    "header not JSON": with_blob(b"{not json"),
+    "header not UTF-8": with_blob(b"\xff\xfe"),
+    "header not an object": with_blob(b"[8, 8, 8]"),
+    "missing shape": with_header(shape=None),
+    "missing dim": with_header(dim=None),
+    "string dim": with_header(dim="3"),
+    "boolean grid size": with_header(points_per_axis=True),
+    "string box length": with_header(box_length="6.28"),
+    "shape not a list": with_header(shape=512),
+    "shape off the grid": with_header(shape=[16, 16, 16]),
+    "fractional shape": with_header(shape=[8.0, 8, 8]),
+    "rank-3 shape": with_header(shape=[3, 3, 3, 8, 8, 8]),
+    "grid size not a power of two": with_header(points_per_axis=12),
+    "nonpositive box length": with_header(box_length=0.0),
+    "dealias fraction above one": with_header(dealias_fraction=1.5),
+    "trailing bytes": lambda raw: raw + b"\x00",
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_typed_error(self, tmp_path, checkpoint, mutate):
+        path = tmp_path / "bad.field"
+        path.write_bytes(mutate(checkpoint))
+        with pytest.raises(FieldFormatError):
+            read_field(path)
+
+    def test_legacy_header_key_is_ignored(self, tmp_path, checkpoint, scalar8):
+        # files from writers that stored a conjugate-symmetry flag still load
+        path = tmp_path / "old.field"
+        path.write_bytes(with_header(real_valued=True)(checkpoint))
+        back = read_field(path)
+        assert back.grid == scalar8.grid
+        assert np.array_equal(back.coeffs, scalar8.coeffs)
+
+    @given(data=st.data())
+    def test_truncation_always_rejected(self, tmp_path_factory, checkpoint, data):
+        cut = data.draw(st.integers(0, len(checkpoint) - 1))
+        path = tmp_path_factory.mktemp("cut") / "bad.field"
+        path.write_bytes(checkpoint[:cut])
+        with pytest.raises(FieldFormatError):
+            read_field(path)
+
+    @given(data=st.data())
+    def test_flipped_byte_rejected_or_read_as_written(self, tmp_path_factory, checkpoint, scalar8, data):
+        # the format carries no checksum, so a flip can leave a valid file;
+        # the reader must then decode exactly the bytes on disk, never shift
+        # or reshape the payload
+        payload_start = len(checkpoint) - 16 * scalar8.coeffs.size
+        pos = data.draw(st.one_of(st.integers(0, payload_start - 1),
+                                  st.integers(payload_start, len(checkpoint) - 1)))
+        bad = bytearray(checkpoint)
+        bad[pos] ^= data.draw(st.integers(1, 255))
+        path = tmp_path_factory.mktemp("flip") / "bad.field"
+        path.write_bytes(bytes(bad))
+        try:
+            back = read_field(path)
+        except FieldFormatError:
+            return
+        assert back.coeffs.shape == scalar8.coeffs.shape
+        assert back.grid.points_per_axis == scalar8.grid.points_per_axis
+        assert back.coeffs.astype("<c16").tobytes() == bytes(bad[payload_start:])
+        if pos < payload_start:
+            assert np.array_equal(back.coeffs, scalar8.coeffs)

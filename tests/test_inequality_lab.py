@@ -9,12 +9,7 @@ from lanslab import (
     BesovIndex,
     HypothesisViolation,
     TorusGrid,
-    build_partition,
-    forward_transform,
-    heat_propagate,
-    heat_semigroup,
     heat_weighted_sup,
-    l2_norm,
     random_band_limited,
     verify_bernstein,
     verify_embedding,
@@ -49,12 +44,6 @@ class TestBernstein:
 
 
 class TestHeatSmoothing:
-    def test_semigroup_matches_propagator(self, grid16, rng):
-        f = random_band_limited(grid16, rng, 1.0, 4.0)
-        a = heat_semigroup(f, 0.07, nu=0.3)
-        b = heat_propagate(f, 0.07, nu=0.3)
-        assert l2_norm(a - b) == 0.0
-
     def test_gain_exponent_on_fine_grid(self):
         # one derivative of smoothing costs t^(-1/2)
         fit = verify_heat_smoothing(0.5, 2.0, 1.5, 2.0, grid=TorusGrid(3, 128), ensemble=2)

@@ -26,6 +26,7 @@ from lanslab import (
     l2_norm,
     make_split_config,
     random_solenoidal,
+    sobolev_norm,
     solve_lans,
     solve_mlans,
     split_with_report,
@@ -134,6 +135,15 @@ class TestGronwallEnvelope:
         rep = gronwall_monitor(u, v, cfg.alpha)
         assert rep.extras["calibrated_in_place"]
         assert rep.max_bound_ratio <= 1.0 + 1e-12
+
+    def test_accumulated_integral_is_sequential_trapezoid(self, traj16):
+        rep = gronwall_monitor(traj16, traj16, 0.5)
+        f = [sobolev_norm(s, 2.0, homogeneous=False) for s in traj16.states]
+        t = traj16.times
+        expected = [0.0]
+        for i in range(1, len(t)):
+            expected.append(expected[-1] + 0.5 * (t[i] - t[i - 1]) * (f[i] + f[i - 1]))
+        assert np.array_equal(rep.extras["accumulated_integral"], expected)
 
     def test_alpha_positive_required(self, gron_cfg):
         cfg = gron_cfg
