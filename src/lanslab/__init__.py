@@ -12,6 +12,8 @@ Layers, bottom to top:
 - fieldio, reporting, cli: persistence and the `lanslab` entry point
 """
 
+from types import ModuleType as _ModuleType
+
 from .dynamics import (
     IterationState,
     LansConfig,
@@ -86,9 +88,7 @@ from .spectral import (
     SolenoidalityError,
     SpectralField,
     TorusGrid,
-    advection_tensor,
     dealias,
-    def_rot,
     divergence,
     forward_transform,
     gradient,
@@ -99,7 +99,6 @@ from .spectral import (
     laplacian_power,
     leray_project,
     lp_norm,
-    outer_product,
     relative_divergence,
     require_solenoidal,
     sobolev_norm,
@@ -108,4 +107,4 @@ from .spectral import (
 
 __version__ = "1.0.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -32,7 +32,7 @@ from .inequality_lab import (
 )
 from .littlewood_paley import BesovIndex, build_partition
 from .monitor import cancellation_check, energy_pair
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import CLI_KEYS, PipelineConfig, run_pipeline
 from .reporting import manifest_hash, write_csv_trace, write_json_report
 from .spectral import TorusGrid, dealias, forward_transform, gradient, inverse_transform, l2_norm
 
@@ -251,13 +251,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    pcfg = PipelineConfig(
-        n=args.n, alpha=args.alpha, nu=args.nu, p=args.p, p_tilde=args.p_tilde,
-        q=args.q, epsilon=args.epsilon, t_end=args.t_end, steps=args.steps,
-        seed=args.seed, data_scale=args.data_scale,
-    )
-    manifest = manifest_hash({"command": "pipeline", **{k: getattr(pcfg, k) for k in (
-        "n", "alpha", "nu", "p", "p_tilde", "q", "epsilon", "t_end", "steps", "seed", "data_scale")}})
+    pcfg = PipelineConfig(**{k: getattr(args, k) for k in CLI_KEYS})
+    manifest = manifest_hash({"command": "pipeline", **{k: getattr(pcfg, k) for k in CLI_KEYS}})
     report = run_pipeline(pcfg)
     out = Path(args.out)
     write_json_report(out / "pipeline.json", report.to_report(), manifest)

@@ -28,17 +28,15 @@ from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     SpectralField,
     TorusGrid,
-    advection_tensor,
+    _check_same_grid,
     dealias,
-    def_rot,
     divergence,
     forward_transform,
+    gradient,
     heat_propagate,
     helmholtz_inverse,
     inverse_transform,
     leray_project,
-    matrix_product_tensor,
-    outer_product,
     require_solenoidal,
 )
 
@@ -217,22 +215,42 @@ class IterationState:
     current: Trajectory | None = None
 
 
+def _flux(u: SpectralField, w: SpectralField) -> SpectralField:
+    """div of the dealiased symmetric product (u (x) w + w (x) u)/2, which
+    is ((w.grad)u + (u.grad)w)/2 for solenoidal fields.  Symmetric in
+    (u, w); when w is u, u is transformed once."""
+    _check_same_grid(u, w)
+    pu = inverse_transform(u)
+    if w is u:
+        tens = pu[:, None] * pu[None, :]
+    else:
+        pw = inverse_transform(w)
+        tens = 0.5 * (pu[:, None] * pw[None, :] + pw[:, None] * pu[None, :])
+    return divergence(dealias(forward_transform(tens, u.grid)))
+
+
+def _jacobian_parts(f: SpectralField) -> tuple:
+    """Physical Def = (J + J^T)/2 and Rot = (J - J^T)/2, J[i, j] = d_j f_i."""
+    jac = inverse_transform(gradient(f))
+    jac_t = np.swapaxes(jac, 0, 1)
+    return 0.5 * (jac + jac_t), 0.5 * (jac - jac_t)
+
+
 def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> SpectralField:
     """Divergence of the filtered stress tensor of the pair (f, g).
 
     Stress = (alpha^2/2) (1 - alpha^2 Lap)^(-1) [Def(f) Rot(g) + Def(g) Rot(f)]
     with pointwise matrix products; the result is div of that tensor,
-    dealiased.  Symmetric in (f, g); identically zero for alpha = 0.
+    dealiased.  Symmetric in (f, g); identically zero for alpha = 0.  Each
+    distinct argument costs one inverse transform of its Jacobian.
     """
     if f.grid != cfg.grid or g.grid != cfg.grid:
         raise ValueError("fields must live on the configured grid")
     if cfg.alpha == 0.0:
         return SpectralField(cfg.grid, np.zeros((cfg.grid.dim,) + cfg.grid.shape, dtype=np.complex128))
-    d_f, r_f = def_rot(f)
-    d_g, r_g = def_rot(g)
-    df, rf = inverse_transform(d_f), inverse_transform(r_f)
-    dg, rg = inverse_transform(d_g), inverse_transform(r_g)
-    prod = matrix_product_tensor(df, rg) + matrix_product_tensor(dg, rf)
+    d_f, r_f = _jacobian_parts(f)
+    d_g, r_g = (d_f, r_f) if g is f else _jacobian_parts(g)
+    prod = np.einsum("im...,mj...->ij...", d_f, r_g) + np.einsum("im...,mj...->ij...", d_g, r_f)
     tens = dealias(forward_transform(prod, cfg.grid))
     stress = helmholtz_inverse(tens, cfg.alpha) * (0.5 * cfg.alpha**2)
     return divergence(stress)
@@ -240,6 +258,15 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
 
 def _viscous(u: SpectralField, cfg: LansConfig) -> SpectralField:
     return SpectralField(u.grid, -cfg.nu * u.grid.k_squared * u.coeffs)
+
+
+def _nonlinear_terms(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
+    """Unprojected div(u(x)u) + div tau(u,u), plus with a background v the
+    cross terms div(u(x)v + v(x)u) + 2 div tau(u,v).  The advection part
+    is one bilinear flux: u(x)u + u(x)v + v(x)u = sym(u (x) (u + 2v))."""
+    if v is None:
+        return _flux(u, u) + reynolds_stress(u, u, cfg)
+    return _flux(u, u + 2.0 * v) + reynolds_stress(u, u, cfg) + 2.0 * reynolds_stress(u, v, cfg)
 
 
 def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
@@ -250,10 +277,7 @@ def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = N
     -P[div(u(x)u + u(x)v + v(x)u) + div tau(u,u) + 2 div tau(u,v)].
     No pure v-v terms appear in either case.
     """
-    terms = divergence(outer_product(u, u)) + reynolds_stress(u, u, cfg)
-    if v is not None:
-        terms = terms + divergence(advection_tensor(u, v)) + 2.0 * reynolds_stress(u, v, cfg)
-    return -1.0 * leray_project(terms)
+    return -leray_project(_nonlinear_terms(u, cfg, v))
 
 
 def lans_rhs(w: SpectralField, cfg: LansConfig) -> SpectralField:

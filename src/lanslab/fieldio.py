@@ -7,7 +7,6 @@ little-endian IEEE-754 complex doubles.  Files round-trip bit-exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import struct
@@ -98,16 +97,11 @@ def field_to_csv(path, field: SpectralField, manifest_hash: str | None = None):
     """Physical-space samples, one grid point per row, for plotting."""
     g = field.grid
     samples = inverse_transform(field)
-    flat = samples.reshape((-1,) + g.shape) if field.rank else samples[None]
-    ncomp = flat.shape[0]
-    coords = g.mesh.reshape(g.dim, -1)
-    values = flat.reshape(ncomp, -1)
+    values = samples.reshape(-1, g.points_per_axis**g.dim)
+    columns = [f"x{i+1}" for i in range(g.dim)] + [f"f{i+1}" for i in range(values.shape[0])]
+    header = ",".join(columns)
+    if manifest_hash:
+        header = f"# manifest={manifest_hash}\n{header}"
+    rows = np.concatenate([g.mesh.reshape(g.dim, -1), values]).T
     with open(path, "w", newline="") as fh:
-        if manifest_hash:
-            fh.write(f"# manifest={manifest_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i+1}" for i in range(g.dim)] + [f"f{i+1}" for i in range(ncomp)])
-        for row in range(coords.shape[1]):
-            rec = [f"{coords[i, row]:.17g}" for i in range(g.dim)]
-            rec += [f"{values[i, row]:.17g}" for i in range(ncomp)]
-            writer.writerow(rec)
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")

@@ -15,12 +15,19 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import LansConfig, Trajectory, _march, _weighted_sup, _weighted_trace, reynolds_stress
+from .dynamics import (
+    LansConfig,
+    Trajectory,
+    _flux,
+    _march,
+    _nonlinear_terms,
+    _weighted_sup,
+    _weighted_trace,
+    reynolds_stress,
+)
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     SpectralField,
-    advection_tensor,
-    divergence,
     forward_transform,
     gradient,
     inverse_transform,
@@ -29,7 +36,6 @@ from .spectral import (
     laplacian_power,
     leray_project,
     lp_norm,
-    outer_product,
     sobolev_norm,
 )
 
@@ -146,7 +152,7 @@ def cancellation_check(u: SpectralField, alpha: float) -> CancellationResiduals:
     i2 = abs(t1 + t2) / den2 if den2 > 0 else 0.0
 
     # gradient component of the full nonlinearity against u
-    total = divergence(outer_product(u, u)) + reynolds_stress(u, u, cfg)
+    total = _nonlinear_terms(u, cfg)
     grad_part = total - leray_project(total)
     raw3 = l2_inner(grad_part, u)
     den3 = l2_norm(total) * u_norm
@@ -268,7 +274,7 @@ def _h2_terms_at(u: SpectralField, v: SpectralField | None, cfg: LansConfig) -> 
         out["l1"] = 0.0
         out["l2"] = 0.0
     else:
-        out["l1"] = abs(_h2_pairing(divergence(advection_tensor(u, v)), u))
+        out["l1"] = abs(_h2_pairing(_flux(u, 2.0 * v), u))
         out["l2"] = abs(_h2_pairing(2.0 * reynolds_stress(u, v, cfg), u))
     return out
 

@@ -45,6 +45,9 @@ __all__ = ["PipelineConfig", "PipelineReport", "run_pipeline", "make_rough_data"
 
 DISCREPANCY_FACTOR = 10.0
 
+# the PipelineConfig fields `lanslab pipeline` sets and its manifest hashes
+CLI_KEYS = ("n", "alpha", "nu", "p", "p_tilde", "q", "epsilon", "t_end", "steps", "seed", "data_scale")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -128,9 +131,7 @@ def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
 
     grid = TorusGrid(dim=pcfg.dim, points_per_axis=pcfg.n)
     cfg = LansConfig(grid=grid, alpha=pcfg.alpha, nu=pcfg.nu)
-    config_dump = {k: getattr(pcfg, k) for k in (
-        "n", "dim", "alpha", "nu", "p", "p_tilde", "q", "epsilon",
-        "t_end", "steps", "seed", "data_scale", "j_cut")}
+    config_dump = {k: getattr(pcfg, k) for k in (*CLI_KEYS, "dim", "j_cut")}
 
     if w0 is None:
         w0, part = make_rough_data(grid, pcfg.seed, pcfg.data_scale, pcfg.q)

@@ -7,9 +7,10 @@ fhat(+-(1,0,0)) = 1/2 for f = cos(x1), and Parseval reads
 integral |f|^2 dx = L^n * sum_k |fhat(k)|^2.
 
 Linear differential operators are diagonal multipliers and therefore exact
-on band-limited data.  Pointwise (nonlinear) operations go through physical
-space and must be followed by the dealias mask, which zeroes every
-coefficient whose max-norm frequency exceeds dealias_fraction * N/2.
+on band-limited data.  Products are not formed here: the nonlinearity
+kernel in dynamics takes them in physical space and follows them with the
+dealias mask, which zeroes every coefficient whose max-norm frequency
+exceeds dealias_fraction * N/2.
 """
 
 from __future__ import annotations
@@ -34,14 +35,10 @@ __all__ = [
     "helmholtz_inverse",
     "heat_propagate",
     "leray_project",
-    "def_rot",
     "lp_norm",
     "l2_norm",
     "l2_inner",
     "sobolev_norm",
-    "outer_product",
-    "matrix_product_tensor",
-    "advection_tensor",
     "zero_field",
     "relative_divergence",
     "require_solenoidal",
@@ -331,21 +328,6 @@ def leray_project(field: SpectralField) -> SpectralField:
     return SpectralField(g, out)
 
 
-def def_rot(field: SpectralField) -> tuple:
-    """Symmetric and antisymmetric parts of the Jacobian of a vector field.
-
-    Returns (Def, Rot) with Def = (G + G^T)/2, Rot = (G - G^T)/2 and
-    G[i, j] = d_j u_i, so Def + Rot reassembles the full gradient.
-    """
-    if field.rank != 1:
-        raise ValueError("def_rot acts on vector fields")
-    G = gradient(field)
-    GT = np.swapaxes(G.coeffs, 0, 1)
-    D = SpectralField(field.grid, 0.5 * (G.coeffs + GT))
-    R = SpectralField(field.grid, 0.5 * (G.coeffs - GT))
-    return D, R
-
-
 def _pointwise_magnitude(samples: np.ndarray, rank: int) -> np.ndarray:
     if rank == 0:
         return np.abs(samples)
@@ -401,32 +383,6 @@ def sobolev_norm(field: SpectralField, s: float, p: float = 2, homogeneous: bool
     if p == 2:
         return l2_norm(weighted)
     return lp_norm(weighted, p)
-
-
-def outer_product(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dealiased tensor u (x) v with (u(x)v)[i, j] = u_i v_j."""
-    _check_same_grid(u, v)
-    if u.rank != 1 or v.rank != 1:
-        raise ValueError("outer_product needs two vector fields")
-    pu = inverse_transform(u)
-    pv = inverse_transform(v)
-    tens = pu[:, None] * pv[None, :]
-    return dealias(forward_transform(tens, u.grid))
-
-
-def matrix_product_tensor(a_phys: np.ndarray, b_phys: np.ndarray) -> np.ndarray:
-    """Pointwise matrix product of two physical (dim, dim, ...) tensors."""
-    return np.einsum("im...,mj...->ij...", a_phys, b_phys)
-
-
-def advection_tensor(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Dealiased u (x) v + v (x) u, whose divergence is the symmetric
-    advection term for solenoidal fields."""
-    _check_same_grid(u, v)
-    pu = inverse_transform(u)
-    pv = inverse_transform(v)
-    tens = pu[:, None] * pv[None, :] + pv[:, None] * pu[None, :]
-    return dealias(forward_transform(tens, u.grid))
 
 
 def relative_divergence(u: SpectralField) -> float:

@@ -8,6 +8,7 @@ perturbation forms is checked by three independent evaluations.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lanslab import (
     BesovIndex,
@@ -15,14 +16,16 @@ from lanslab import (
     MildSolverConfig,
     PicardDivergenceError,
     SolverBlowupError,
+    SpectralField,
+    TorusGrid,
     Trajectory,
     build_partition,
     dealias,
-    def_rot,
     divergence,
     duhamel_map,
     e_norm,
     forward_transform,
+    gradient,
     heat_propagate,
     helmholtz_inverse,
     inverse_transform,
@@ -31,6 +34,7 @@ from lanslab import (
     laplacian_power,
     leray_project,
     mlans_rhs,
+    nonlinear_rhs,
     picard_iterate,
     random_solenoidal,
     reynolds_stress,
@@ -50,8 +54,6 @@ def cfg16(grid16_mod):
 
 @pytest.fixture(scope="module")
 def grid16_mod():
-    from lanslab import TorusGrid
-
     return TorusGrid(dim=3, points_per_axis=16)
 
 
@@ -85,6 +87,11 @@ class TestReynoldsStress:
             pa, pb = inverse_transform(A), inverse_transform(B)
             prod = np.einsum("im...,mj...->ij...", pa, pb)
             return dealias(forward_transform(prod, grid16_mod))
+
+        def def_rot(h):
+            G = gradient(h).coeffs  # G[i, j] = d_j h_i
+            GT = np.swapaxes(G, 0, 1)
+            return SpectralField(grid16_mod, 0.5 * (G + GT)), SpectralField(grid16_mod, 0.5 * (G - GT))
 
         Df, Rf = def_rot(f)
         Dg, Rg = def_rot(g)
@@ -124,13 +131,11 @@ class TestVectorFields:
         assert slope == pytest.approx(1.0, abs=0.1)
 
     def test_alpha_zero_is_plain_navier_stokes(self, grid16_mod):
-        from lanslab import outer_product
-
         cfg = LansConfig(grid=grid16_mod, alpha=0.0, nu=0.7)
         w = band_field(grid16_mod, 7)
-        expected = laplacian_power(w, 2.0) * (-cfg.nu) - leray_project(
-            divergence(outer_product(w, w))
-        )
+        pw = inverse_transform(w)
+        ww = dealias(forward_transform(pw[:, None] * pw[None, :], grid16_mod))
+        expected = laplacian_power(w, 2.0) * (-cfg.nu) - leray_project(divergence(ww))
         got = lans_rhs(w, cfg)
         assert l2_norm(got - expected) <= 1e-12 * l2_norm(expected)
 
@@ -156,6 +161,41 @@ class TestVectorFields:
         a = mlans_rhs(u, zero_field(grid16_mod), cfg16)
         b = lans_rhs(u, cfg16)
         assert l2_norm(a - b) <= 1e-13 * l2_norm(b)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("with_background, budget", [(False, 30), (True, 60)])
+    def test_scalar_transform_budget(self, cfg16, grid16_mod, monkeypatch, with_background, budget):
+        # every transform spans the whole grid, so each leading index of the
+        # transformed array is one scalar FFT
+        u = band_field(grid16_mod, 40)
+        v = band_field(grid16_mod, 41) if with_background else None
+        scalar = []
+
+        def counting(original):
+            def wrapped(a, *args, **kwargs):
+                scalar.append(np.asarray(a).size // grid16_mod.points_per_axis**3)
+                return original(a, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        nonlinear_rhs(u, cfg16, v)
+        assert 0 < sum(scalar) <= budget
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("grid", [TorusGrid(dim=2, points_per_axis=32), TorusGrid(dim=3, points_per_axis=16)],
+                             ids=["32^2", "16^3"])
+    @given(seed=st.integers(0, 2**31), scale_u=st.floats(1e-2, 10.0), scale_v=st.floats(1e-2, 10.0))
+    def test_consistency_identity_property(self, grid, alpha, seed, scale_u, scale_v):
+        # lans_rhs(u + v) = mlans_rhs(u, v) + lans_rhs(v) at criterion 07's bound
+        cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
+        u = band_field(grid, seed, scale=scale_u)
+        v = band_field(grid, seed + 1, scale=scale_v)
+        lhs = lans_rhs(u + v, cfg)
+        rhs = mlans_rhs(u, v, cfg) + lans_rhs(v, cfg)
+        assert l2_norm(lhs - rhs) <= 1e-11 * l2_norm(lhs)
 
 
 class TestHeatPropagator:

@@ -1,5 +1,7 @@
 """Binary checkpoint and CSV export round-trips."""
 
+import csv
+import io
 import json
 import struct
 
@@ -11,6 +13,7 @@ from lanslab import (
     FieldFormatError,
     field_to_csv,
     forward_transform,
+    inverse_transform,
     l2_norm,
     random_solenoidal,
     read_field,
@@ -86,6 +89,23 @@ class TestCsvExport:
         phys = inverse_transform(sample)
         assert vals[:3] == [0.0, 0.0, 0.0]
         assert vals[3] == pytest.approx(phys[0, 0, 0, 0], rel=1e-15)
+
+    @pytest.mark.parametrize("manifest", [None, "abc123def456"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["scalar", "vector"])
+    def test_bytes_match_row_by_row_writer(self, tmp_path, grid8, manifest, lead):
+        field = forward_transform(np.random.default_rng(5).standard_normal(lead + grid8.shape), grid8)
+        path = tmp_path / "f.csv"
+        field_to_csv(path, field, manifest_hash=manifest)
+        values = inverse_transform(field).reshape(-1, 8**3)
+        coords = grid8.mesh.reshape(3, -1)
+        buf = io.StringIO(newline="")
+        if manifest:
+            buf.write(f"# manifest={manifest}\n")
+        writer = csv.writer(buf)
+        writer.writerow(["x1", "x2", "x3"] + [f"f{i+1}" for i in range(len(values))])
+        for row in range(8**3):
+            writer.writerow([f"{x:.17g}" for x in (*coords[:, row], *values[:, row])])
+        assert path.read_bytes() == buf.getvalue().encode()
 
     def test_roundtrip_norm_preserved(self, tmp_path, sample):
         # serialization must not perturb the data it was given

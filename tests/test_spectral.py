@@ -13,9 +13,7 @@ from lanslab import (
     SolenoidalityError,
     SpectralField,
     TorusGrid,
-    advection_tensor,
     dealias,
-    def_rot,
     divergence,
     forward_transform,
     gradient,
@@ -26,13 +24,13 @@ from lanslab import (
     laplacian_power,
     leray_project,
     lp_norm,
-    outer_product,
     random_solenoidal,
     relative_divergence,
     require_solenoidal,
     sobolev_norm,
     zero_field,
 )
+from lanslab.dynamics import _flux
 
 # volume of the unit torus [0, 2pi)^3; sqrt of it is the L2 norm of f == 1
 VOLUME_3D = (2.0 * np.pi) ** 3
@@ -141,7 +139,10 @@ class TestDerivatives:
         # u = (sin x2, 0, 0): at x = 0 the Jacobian is the unit entry
         # G[0, 1] = 1, so Def[0, 1] = Def[1, 0] = 1/2 and Rot[0, 1] = 1/2.
         u = single_mode_sin(grid16)
-        D, R = def_rot(u)
+        G = gradient(u).coeffs
+        GT = np.swapaxes(G, 0, 1)
+        D = SpectralField(grid16, 0.5 * (G + GT))
+        R = SpectralField(grid16, 0.5 * (G - GT))
         d0 = inverse_transform(D)[..., 0, 0, 0]
         r0 = inverse_transform(R)[..., 0, 0, 0]
         assert d0[0, 1] == pytest.approx(0.5, abs=1e-12)
@@ -218,40 +219,43 @@ class TestLerayProjection:
 
 
 class TestTensorOps:
+    """The advection flux of the nonlinearity kernel, div of the dealiased
+    (u (x) v + v (x) u)/2."""
+
     def test_divergence_of_outer_is_advection(self, grid16, rng):
-        # for solenoidal v: div(u (x) v)_i = (v . grad) u_i; compare against
-        # an independent physical-space contraction
+        # for solenoidal u, v: div(u (x) v)_i = (v . grad) u_i; compare the
+        # flux against an independent physical-space contraction
         u = random_solenoidal(grid16, rng, k_min=1.0, k_max=3.0)
         v = random_solenoidal(grid16, rng, k_min=1.0, k_max=3.0)
-        lhs = divergence(outer_product(u, v))
-        pv = inverse_transform(v)
-        jac = inverse_transform(gradient(u))
-        rhs = forward_transform(np.einsum("j...,ij...->i...", pv, jac), grid16)
+        lhs = _flux(u, v)
+        pu, pv = inverse_transform(u), inverse_transform(v)
+        jac_u, jac_v = inverse_transform(gradient(u)), inverse_transform(gradient(v))
+        contraction = np.einsum("j...,ij...->i...", pv, jac_u) + np.einsum("j...,ij...->i...", pu, jac_v)
+        rhs = forward_transform(0.5 * contraction, grid16)
         np.testing.assert_allclose(lhs.coeffs, dealias(rhs).coeffs, atol=1e-12)
 
     def test_advection_tensor_symmetry(self, grid16, rng):
         u = random_solenoidal(grid16, rng, k_max=3.0)
         v = random_solenoidal(grid16, rng, k_max=3.0)
-        ab = advection_tensor(u, v)
-        ba = advection_tensor(v, u)
+        ab = _flux(u, v)
+        ba = _flux(v, u)
         np.testing.assert_allclose(ab.coeffs, ba.coeffs, atol=1e-13)
-        np.testing.assert_allclose(
-            ab.coeffs, np.swapaxes(ab.coeffs, 0, 1), atol=1e-13
-        )
 
     def test_outer_product_single_modes(self, grid16):
-        # cos(x1) * cos(x1) = 1/2 + cos(2 x1)/2: check the mean and second mode
+        # cos(x1) * cos(x1) = 1/2 + cos(2 x1)/2, so the tensor entry [0, 0]
+        # has mean 1/2 and mode-2 coefficient 1/4; the flux is d_1 of it,
+        # i k times each: the mean drops and k = (2, 0, 0) carries 2i * 1/4.
+        # The copy takes the two-argument path.
         u = single_mode(grid16, (1, 0, 0), lead=0)
-        v = single_mode(grid16, (1, 0, 0), lead=0)
-        t = outer_product(u, v)
-        assert t.coeffs[0, 0, 0, 0, 0] == pytest.approx(0.5)
-        assert t.coeffs[0, 0, 2, 0, 0] == pytest.approx(0.25)
+        for t in (_flux(u, u), _flux(u, u.copy())):
+            assert t.coeffs[0, 0, 0, 0] == 0.0
+            assert t.coeffs[0, 2, 0, 0] == pytest.approx(2j * 0.25)
 
     def test_grid_mismatch_rejected(self, grid16, grid8, rng):
         a = forward_transform(rng.standard_normal((3,) + grid16.shape), grid16)
         b = forward_transform(rng.standard_normal((3,) + grid8.shape), grid8)
         with pytest.raises(GridMismatchError):
-            outer_product(a, b)
+            _flux(a, b)
 
 
 class TestInnerProducts:
