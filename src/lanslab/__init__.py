@@ -76,7 +76,6 @@ from .monitor import (
     h2_concentration_slopes,
     h2_term_monitor,
     higher_regularity_trace,
-    interpolation_split,
     make_split_config,
     split_with_report,
 )

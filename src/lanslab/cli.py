@@ -217,7 +217,7 @@ def _solve_once(equation: str, n: int, alpha: float, nu: float, dt: float, t_end
         traj = solve_lans(u0, cfg, t_end, dt)
     rows = [
         (t, l2_norm(s), part.besov_norm(s, idx), energy_pair(s, alpha))
-        for t, s in zip(traj.times, traj.states)
+        for t, s in zip(traj.times, traj)
     ]
     return traj, rows
 
@@ -278,7 +278,7 @@ def _sweep_cell(cell: dict, t_end: float, seed: int, data_norm: float) -> dict:
         traj, rows = _solve_once("lans", cell["n"], cell["alpha"], cell["nu"],
                                  cell["dt"], t_end, seed, data_norm)
         return {**cell, "status": "ok", "final_l2": rows[-1][1], "final_energy_pair": rows[-1][3],
-                "_final": traj.final}
+                "_final": traj.final.copy()}
     except Exception as err:  # isolation: one bad cell must not sink the rest
         return {**cell, "status": "failed", "error": f"{type(err).__name__}: {err}"}
 
@@ -403,23 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
         "t_end": 0.05, "seed": 0, "data_norm": 0.01, "out": "lanslab-out"})
 
     p_pipe = sub.add_parser("pipeline", help="split/solve/recombine consistency run")
-    p_pipe.add_argument("--n", type=int, default=None)
-    p_pipe.add_argument("--alpha", type=float, default=None)
-    p_pipe.add_argument("--nu", type=float, default=None)
-    p_pipe.add_argument("--p", type=float, default=None)
-    p_pipe.add_argument("--p-tilde", type=float, default=None)
-    p_pipe.add_argument("--q", type=float, default=None)
-    p_pipe.add_argument("--epsilon", type=float, default=None)
-    p_pipe.add_argument("--t-end", type=float, default=None)
-    p_pipe.add_argument("--steps", type=int, default=None)
-    p_pipe.add_argument("--seed", type=int, default=None)
-    p_pipe.add_argument("--data-scale", type=float, default=None)
+    pipe_defaults = {key: getattr(PipelineConfig(), key) for key in CLI_KEYS}
+    for key, default in pipe_defaults.items():
+        p_pipe.add_argument("--" + key.replace("_", "-"), type=type(default), default=None)
     p_pipe.add_argument("--out", default=None)
     p_pipe.add_argument("--config", default=None)
-    p_pipe.set_defaults(func=cmd_pipeline, defaults={
-        "n": 32, "alpha": 0.1, "nu": 1.0, "p": 6.0, "p_tilde": 30.0, "q": 2.0,
-        "epsilon": 1e-3, "t_end": 0.05, "steps": 32, "seed": 0, "data_scale": 0.01,
-        "out": "lanslab-out"})
+    p_pipe.set_defaults(func=cmd_pipeline, defaults={**pipe_defaults, "out": "lanslab-out"})
 
     p_sweep = sub.add_parser("sweep", help="parameter-grid fan-out of solves")
     p_sweep.add_argument("--alpha", default=None, help="comma-separated list")

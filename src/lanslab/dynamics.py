@@ -14,18 +14,21 @@ the u-self terms and the u-v cross terms but no pure v-v terms, so that
 
 holds exactly at the discrete level.  Pressure never appears: every
 nonlinear term is Leray-projected, which removes exactly the gradient
-component.  All norms of trajectories are weighted Besov sups of the form
-sup_t t^a ||u(t)||.
+component.  A Trajectory stacks its states into one coefficient array,
+and all norms of trajectories are weighted Besov sups of the form
+sup_t t^a ||u(t)||, taken node by node over that array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
+    GridMismatchError,
     SpectralField,
     TorusGrid,
     _check_same_grid,
@@ -156,35 +159,49 @@ def _time_nodes(t_end: float, dt: float) -> np.ndarray:
     return dt * np.arange(steps + 1)
 
 
-@dataclass
 class Trajectory:
-    """Time-ordered divergence-free states with their production settings."""
+    """Time-ordered divergence-free states with their production settings.
 
-    times: np.ndarray
-    states: list
-    equation: str = "lans"
-    config: LansConfig | None = None
-    extras: dict = dc_field(default_factory=dict)
+    The states are stacked into one array, coeffs, of shape
+    (T,) + lead_shape + grid.shape; all of them must live on one grid.
+    traj[i] is a SpectralField view of node i that shares memory with
+    coeffs, and iterating a trajectory yields its nodes in time order.
+    """
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if len(self.times) == 0:
+    def __init__(self, times, states, equation: str = "lans", config: LansConfig | None = None):
+        if len(states) == 0:
             raise ValueError("empty trajectory")
+        for state in states[1:]:
+            _check_same_grid(states[0], state)
+        self._init(times, states[0].grid, np.stack([state.coeffs for state in states]), equation, config)
+
+    @classmethod
+    def _adopt(cls, times, grid: TorusGrid, coeffs: np.ndarray, equation: str, config) -> "Trajectory":
+        """A trajectory that owns coeffs, shape (T,) + lead + grid.shape, without copying it."""
+        traj = cls.__new__(cls)
+        traj._init(times, grid, coeffs, equation, config)
+        return traj
+
+    def _init(self, times, grid, coeffs, equation, config):
+        self.times = np.asarray(times, dtype=float)
+        if len(self.times) != len(coeffs):
+            raise ValueError("times and states must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+        self.grid, self.coeffs, self.equation, self.config = grid, coeffs, equation, config
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.coeffs)
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.states[0].grid
+    def __getitem__(self, i) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[operator.index(i)])
+
+    def __iter__(self):
+        return (SpectralField(self.grid, c) for c in self.coeffs)
 
     @property
     def final(self) -> SpectralField:
-        return self.states[-1]
+        return self[-1]
 
     def node_index(self, t: float) -> int:
         """Index of the stored node nearest t; raises unless it matches t."""
@@ -196,12 +213,12 @@ class Trajectory:
         return i
 
     def state_at(self, t: float) -> SpectralField:
-        return self.states[self.node_index(t)]
+        return self[self.node_index(t)]
 
     def max_relative_divergence(self) -> float:
         from .spectral import relative_divergence
 
-        return max(relative_divergence(s) for s in self.states)
+        return max(relative_divergence(s) for s in self)
 
 
 @dataclass
@@ -212,7 +229,6 @@ class IterationState:
     delta_norm: float
     e_norm: float
     ratio: float | None = None
-    current: Trajectory | None = None
 
 
 def _flux(u: SpectralField, w: SpectralField) -> SpectralField:
@@ -300,6 +316,11 @@ def mlans_rhs(u: SpectralField, v: SpectralField, cfg: LansConfig) -> SpectralFi
     return _viscous(u, cfg) + nonlinear_rhs(u, cfg, v)
 
 
+def _require_grid(u0: SpectralField, cfg: LansConfig):
+    if u0.grid != cfg.grid:
+        raise GridMismatchError("initial data and configuration live on different grids")
+
+
 def _background_states(v_traj: Trajectory | None, times: np.ndarray, grid: TorusGrid) -> list:
     if v_traj is None:
         return [None] * len(times)
@@ -323,47 +344,51 @@ def duhamel_map(
     composite rule with the semigroup factor applied exactly per node via
     the recurrence I_i = E I_(i-1) + increment, E = one-step semigroup.
     """
+    _require_grid(u0, cfg)
     grid = cfg.grid
     times = traj.times
     dt = float(times[1] - times[0])
     v_states = _background_states(v_traj, times, grid)
     step_mult = np.exp(-cfg.nu * dt * grid.k_squared)
 
-    n_fields = [nonlinear_rhs(traj.states[i], cfg, v_states[i]) for i in range(len(times))]
-    states = [heat_propagate(u0, times[0], cfg.nu) if times[0] > 0 else dealias(u0.copy())]
+    n_fields = [nonlinear_rhs(u, cfg, v) for u, v in zip(traj, v_states)]
+    coeffs = np.empty((len(times),) + u0.coeffs.shape, dtype=np.complex128)
+    coeffs[0] = (heat_propagate(u0, times[0], cfg.nu) if times[0] > 0 else dealias(u0)).coeffs
     integral = np.zeros_like(u0.coeffs)
     for i in range(1, len(times)):
         if mcfg.quad_rule == "trapezoid":
             integral = step_mult * (integral + 0.5 * dt * n_fields[i - 1].coeffs) + 0.5 * dt * n_fields[i].coeffs
         else:  # euler: left endpoint
             integral = step_mult * (integral + dt * n_fields[i - 1].coeffs)
-        coeffs = heat_propagate(u0, times[i], cfg.nu).coeffs + integral
-        states.append(SpectralField(grid, coeffs))
-    return Trajectory(times, states, equation=traj.equation, config=cfg, extras=dict(traj.extras))
+        coeffs[i] = heat_propagate(u0, times[i], cfg.nu).coeffs + integral
+    return Trajectory._adopt(times, grid, coeffs, traj.equation, cfg)
 
 
-def _weighted_trace(times, fields, a: float, index: BesovIndex, part) -> tuple:
-    """(times, t^a * besov_norm(field)) over the nodes.  The t = 0 node is
-    skipped when a > 0 and has weight 1 otherwise."""
+def _weighted_trace(times, coeffs, a: float, index: BesovIndex, part) -> tuple:
+    """(times, t^a * besov_norm) over the nodes, given one coefficient array
+    per node on the partition's grid.  The t = 0 node is skipped when a > 0
+    and has weight 1 otherwise."""
     ts, values = [], []
-    for t, f in zip(times, fields):
+    for t, c in zip(times, coeffs):
         if t == 0.0 and a > 0:
             continue
         ts.append(t)
-        values.append((1.0 if t == 0.0 else t**a) * part.besov_norm(f, index))
+        values.append((1.0 if t == 0.0 else t**a) * part.besov_norm(SpectralField(part.grid, c), index))
     return np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
 
 
-def _weighted_sup(times, fields, a: float, index: BesovIndex, part) -> float:
-    """sup_t t^a * besov_norm(field) over the nodes, 0.0 when none counts."""
-    return float(np.max(_weighted_trace(times, fields, a, index, part)[1], initial=0.0))
+def _weighted_sup(times, coeffs, a: float, index: BesovIndex, part) -> float:
+    """sup_t t^a * besov_norm over the nodes, 0.0 when none counts."""
+    return float(np.max(_weighted_trace(times, coeffs, a, index, part)[1], initial=0.0))
 
 
 def weighted_norm(traj: Trajectory, a: float, index: BesovIndex, partition=None) -> float:
     """sup over stored nodes of t^a * besov_norm(u(t)); the t = 0 node
     participates only when a = 0."""
     part = partition or build_partition(traj.grid)
-    return _weighted_sup(traj.times, traj.states, a, index, part)
+    if part.grid != traj.grid:
+        raise GridMismatchError("partition and trajectory live on different grids")
+    return _weighted_sup(traj.times, traj.coeffs, a, index, part)
 
 
 def e_norm(
@@ -378,7 +403,7 @@ def e_norm(
     base space B^(n/2)_(2,q) plus the weighted sup in the target space."""
     part = partition or build_partition(traj.grid)
     base = BesovIndex(traj.grid.dim / 2.0, 2.0, weight_index.q)
-    drifts = (state - heat_propagate(u0, t, nu) for t, state in zip(traj.times, traj.states))
+    drifts = (c - heat_propagate(u0, t, nu).coeffs for t, c in zip(traj.times, traj.coeffs))
     drift = _weighted_sup(traj.times, drifts, 0.0, base, part)
     return drift + weighted_norm(traj, weight_a, weight_index, partition=part)
 
@@ -434,7 +459,6 @@ def picard_iterate(
         if not np.isfinite(delta):
             raise PicardDivergenceError("iterate norm is not finite", np.inf, history)
         if delta < mcfg.picard_tol:
-            state.current = image
             return image, history
         if ratio is not None and delta >= 10.0 * mcfg.picard_tol and ratio > mcfg.contraction_target:
             raise PicardDivergenceError(
@@ -458,7 +482,7 @@ def picard_iterate(
 
 
 def _weighted_distance(a: Trajectory, b: Trajectory, mcfg: MildSolverConfig, part) -> float:
-    gaps = (x - y for x, y in zip(a.states, b.states))
+    gaps = (x - y for x, y in zip(a.coeffs, b.coeffs))
     return _weighted_sup(a.times, gaps, mcfg.weight_a, mcfg.weight_index, part)
 
 
@@ -485,6 +509,7 @@ def _march(
     nonlinear: bool,
     equation: str,
 ) -> Trajectory:
+    _require_grid(u0, cfg)
     grid = cfg.grid
     require_solenoidal(u0)
     times = _time_nodes(t_end, dt)
@@ -494,8 +519,11 @@ def _march(
     z = -cfg.nu * dt * grid.k_squared
     e_dt, phi1, phi2 = _phi_factors(z)
 
-    u = leray_project(dealias(u0))
-    states = [u]
+    # rows are filled as the march advances and u is a view of the newest,
+    # so the states held at any step are those the march has produced
+    coeffs = np.empty((len(times),) + u0.coeffs.shape, dtype=np.complex128)
+    coeffs[0] = leray_project(dealias(u0)).coeffs
+    u = SpectralField(grid, coeffs[0])
     for i in range(steps):
         if nonlinear:
             n_u = nonlinear_rhs(u, cfg, v_states[i])
@@ -504,11 +532,11 @@ def _march(
             nxt = stage.coeffs + dt * phi2 * (n_stage.coeffs - n_u.coeffs)
         else:
             nxt = e_dt * u.coeffs
-        u = leray_project(dealias(SpectralField(grid, nxt)))
+        coeffs[i + 1] = leray_project(dealias(SpectralField(grid, nxt))).coeffs
+        u = SpectralField(grid, coeffs[i + 1])
         if not np.all(np.isfinite(u.coeffs.view(np.float64))):
             raise SolverBlowupError(i + 1, float(times[i + 1]))
-        states.append(u)
-    return Trajectory(times, states, equation=equation, config=cfg, extras={"dt": dt, "nonlinear": nonlinear})
+    return Trajectory._adopt(times, grid, coeffs, equation, cfg)
 
 
 def solve_lans(

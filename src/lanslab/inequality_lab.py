@@ -11,7 +11,7 @@ r^2 below 0.98, or too few dyadic levels to fit, is reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -121,6 +121,11 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple:
 
 def _default_grid(n: int = 64) -> TorusGrid:
     return TorusGrid(dim=3, points_per_axis=n)
+
+
+def _refined(grid: TorusGrid) -> TorusGrid:
+    """The same box with twice the points per axis."""
+    return replace(grid, points_per_axis=2 * grid.points_per_axis)
 
 
 def _status(measured, predicted, r2, tol, enough_points=True) -> str:
@@ -345,7 +350,6 @@ def verify_product_estimate(
     grid: TorusGrid | None = None,
     seed: int = 0,
     pairs: int = 100,
-    refine: bool = True,
 ) -> ExponentFit:
     """Check ||fg||_B^s <= C ||f|| ||g|| with s = s1 + s2 - n(1/p1 + 1/p2 - 1/p).
 
@@ -362,12 +366,8 @@ def verify_product_estimate(
     s = s1 + s2 - n * (1.0 / p1 + 1.0 / p2 - 1.0 / p)
 
     c_coarse = _max_product_ratio(grid, s1, p1, s2, p2, p, q, s, pairs, as_rng(seed))
-    if refine:
-        fine = TorusGrid(grid.dim, 2 * grid.points_per_axis, grid.box_length, grid.dealias_fraction)
-        c_fine = _max_product_ratio(fine, s1, p1, s2, p2, p, q, s, pairs, as_rng(seed))
-        growth = np.log2(c_fine / c_coarse) if c_coarse > 0 else np.inf
-    else:
-        c_fine, growth = c_coarse, 0.0
+    c_fine = _max_product_ratio(_refined(grid), s1, p1, s2, p2, p, q, s, pairs, as_rng(seed))
+    growth = np.log2(c_fine / c_coarse) if c_coarse > 0 else np.inf
     finite = np.isfinite(c_coarse) and np.isfinite(c_fine)
     # one-sided: a bounded constant may settle downward, it must not double
     status = "pass" if finite and growth < 1.0 else "fail"
@@ -382,7 +382,7 @@ def verify_product_estimate(
         status=status,
         seed=seed if isinstance(seed, int) else None,
         params={"s1": s1, "p1": p1, "s2": s2, "p2": p2, "p": p, "q": q, "s": s, "n_axis": grid.points_per_axis},
-        samples=[(float(grid.points_per_axis), float(c_coarse)), (float(2 * grid.points_per_axis), float(c_fine))] if refine else [(float(grid.points_per_axis), float(c_coarse))],
+        samples=[(float(grid.points_per_axis), float(c_coarse)), (float(2 * grid.points_per_axis), float(c_fine))],
         notes="constant stability under refinement; mixed random/coherent pairs",
     )
 
@@ -423,7 +423,6 @@ def verify_embedding(
     grid: TorusGrid | None = None,
     seed: int = 0,
     ensemble: int = 40,
-    refine: bool = True,
     **params,
 ) -> ExponentFit:
     """Check one of the four space-comparison lines.
@@ -442,12 +441,8 @@ def verify_embedding(
     grid = grid or _default_grid(32)
 
     w_c, b_c = _embedding_ratio_max(grid, case, params, ensemble, as_rng(seed))
-    if refine:
-        fine = TorusGrid(grid.dim, 2 * grid.points_per_axis, grid.box_length, grid.dealias_fraction)
-        w_f, b_f = _embedding_ratio_max(fine, case, params, ensemble, as_rng(seed))
-        growth = np.log2(w_f / w_c) if w_c > 0 else np.inf
-    else:
-        w_f, b_f, growth = w_c, b_c, 0.0
+    w_f, b_f = _embedding_ratio_max(_refined(grid), case, params, ensemble, as_rng(seed))
+    growth = np.log2(w_f / w_c) if w_c > 0 else np.inf
 
     worst, best = max(w_c, w_f), min(b_c, b_f)
     if case == "q_monotonicity":
@@ -467,7 +462,7 @@ def verify_embedding(
         status="pass" if ok else "fail",
         seed=seed if isinstance(seed, int) else None,
         params={**params, "n_axis": grid.points_per_axis},
-        samples=[(float(grid.points_per_axis), float(w_c)), (float(2 * grid.points_per_axis), float(w_f))] if refine else [(float(grid.points_per_axis), float(w_c))],
+        samples=[(float(grid.points_per_axis), float(w_c)), (float(2 * grid.points_per_axis), float(w_f))],
     )
 
 
@@ -477,7 +472,6 @@ def verify_ladyzhenskaya(
     grid: TorusGrid | None = None,
     seed: int = 0,
     ensemble: int = 60,
-    refine: bool = True,
 ) -> ExponentFit:
     """Interpolation ||f||_(H^r1) <= ||f||_(L2)^(1-r1/r2) ||f||_(H^r2)^(r1/r2)
     with homogeneous multiplier norms on mean-zero fields.
@@ -501,12 +495,8 @@ def verify_ladyzhenskaya(
         return worst
 
     w_c = max_ratio(grid, as_rng(seed))
-    if refine:
-        fine = TorusGrid(grid.dim, 2 * grid.points_per_axis, grid.box_length, grid.dealias_fraction)
-        w_f = max_ratio(fine, as_rng(seed))
-        growth = np.log2(w_f / w_c) if w_c > 0 else np.inf
-    else:
-        w_f, growth = w_c, 0.0
+    w_f = max_ratio(_refined(grid), as_rng(seed))
+    growth = np.log2(w_f / w_c) if w_c > 0 else np.inf
 
     # single-mode equality: all spectral mass on one |k| makes Hoelder tight
     x1 = grid.mesh[0]

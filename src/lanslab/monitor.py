@@ -54,7 +54,6 @@ __all__ = [
     "h2_term_monitor",
     "h2_concentration_slopes",
     "make_split_config",
-    "interpolation_split",
     "split_with_report",
     "higher_regularity_trace",
     "bootstrap_consistency",
@@ -188,16 +187,16 @@ def gronwall_monitor(
     if alpha <= 0:
         raise ValueError("the exponential bound needs alpha > 0")
     times = u_traj.times
-    e = np.array([energy_pair(s, alpha) for s in u_traj.states])
-    h2 = np.array([sobolev_norm(s, 2.0, homogeneous=True) for s in u_traj.states])
-    h3 = np.array([sobolev_norm(s, 3.0, homogeneous=True) for s in u_traj.states])
+    e = np.array([energy_pair(s, alpha) for s in u_traj])
+    h2 = np.array([sobolev_norm(s, 2.0, homogeneous=True) for s in u_traj])
+    h3 = np.array([sobolev_norm(s, 3.0, homogeneous=True) for s in u_traj])
 
     if v_traj is None:
         integrand = np.zeros_like(times)
         v_lp = np.zeros_like(times)
     else:
-        integrand = np.array([sobolev_norm(s, 2.0, 2.0, homogeneous=False) for s in v_traj.states])
-        v_lp = np.array([lp_norm(s, 2.0) for s in v_traj.states])
+        integrand = np.array([sobolev_norm(s, 2.0, 2.0, homogeneous=False) for s in v_traj])
+        v_lp = np.array([lp_norm(s, 2.0) for s in v_traj])
     # cumulative trapezoid rule, accumulated left to right
     increments = 0.5 * np.diff(times) * (integrand[1:] + integrand[:-1])
     accumulated = np.concatenate(([0.0], np.cumsum(increments)))
@@ -315,8 +314,8 @@ def h2_term_monitor(
     terms = {n: np.zeros(len(times)) for n in names}
     h3 = np.zeros(len(times))
     under = False
-    for i, u in enumerate(u_traj.states):
-        v = v_traj.states[i] if v_traj is not None else None
+    for i, u in enumerate(u_traj):
+        v = v_traj[i] if v_traj is not None else None
         vals = _h2_terms_at(u, v, cfg)
         for n in names:
             terms[n][i] = vals[n]
@@ -457,13 +456,6 @@ def split_with_report(w0: SpectralField, scfg: SplitConfig) -> SplitResult:
     raise SplitError(scfg.epsilon, best, best_j)
 
 
-def interpolation_split(w0: SpectralField, scfg: SplitConfig) -> tuple:
-    """(low, tail) pair with low + tail = w0 exactly and the tail below
-    epsilon in the large-integrability norm; see split_with_report."""
-    res = split_with_report(w0, scfg)
-    return res.low, res.tail
-
-
 @dataclass
 class TraceReport:
     """sup_t t^w ||u(t)||_(B^k) with w = (k - base)/2, plus the early-time
@@ -483,7 +475,7 @@ class TraceReport:
 def higher_regularity_trace(traj: Trajectory, k: float, base: float, q: float = 2.0) -> TraceReport:
     weight = (k - base) / 2.0
     part = build_partition(traj.grid)
-    times, values = _weighted_trace(traj.times, traj.states, weight, BesovIndex(k, 2.0, q), part)
+    times, values = _weighted_trace(traj.times, traj.coeffs, weight, BesovIndex(k, 2.0, q), part)
     return TraceReport(
         times=times,
         values=values,
@@ -514,14 +506,14 @@ def bootstrap_consistency(
     if i1 >= len(traj) - 1:
         raise ValueError("restart time leaves no overlap")
     times = traj.times
-    dt = float(traj.extras.get("dt", times[1] - times[0]))
+    dt = float(times[1] - times[0])
     t_rem = float(times[-1] - times[i1])
     v_slice = None
     if traj.equation == "mlans":
         if v_traj is None:
             raise ValueError("restarting a perturbation run needs its background trajectory")
         _check_aligned(traj, v_traj)
-        v_slice = Trajectory(times[i1:] - times[i1], v_traj.states[i1:], equation=v_traj.equation, config=v_traj.config)
-    rerun = _march(traj.states[i1], cfg, t_rem, dt, v_slice, True, traj.equation)
-    gaps = (a - b for a, b in zip(rerun.states, traj.states[i1:]))
+        v_slice = Trajectory._adopt(times[i1:] - times[i1], v_traj.grid, v_traj.coeffs[i1:], v_traj.equation, v_traj.config)
+    rerun = _march(traj[i1], cfg, t_rem, dt, v_slice, True, traj.equation)
+    gaps = (a - b for a, b in zip(rerun.coeffs, traj.coeffs[i1:]))
     return _weighted_sup(rerun.times, gaps, 0.0, idx, part)

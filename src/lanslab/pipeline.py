@@ -24,7 +24,6 @@ from .dynamics import (
     LansConfig,
     MildSolverConfig,
     PicardDivergenceError,
-    Trajectory,
     _weighted_sup,
     _weighted_trace,
     picard_iterate,
@@ -159,9 +158,8 @@ def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
     dt = pcfg.dt
     v_traj = solve_lans(v0, cfg, pcfg.t_end, dt)
 
-    # contraction gate on the perturbation before committing to the march
-    stride = pcfg.steps // 8
-    v_gate = Trajectory(v_traj.times[::stride], v_traj.states[::stride], equation="lans", config=cfg)
+    # contraction gate on the perturbation before committing to the march;
+    # its 9 nodes are nodes of v_traj because steps is a multiple of 8
     mcfg = MildSolverConfig(
         t_end=pcfg.t_end,
         dt=pcfg.t_end / 8.0,
@@ -172,7 +170,7 @@ def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
         contraction_target=pcfg.gate_contraction_target,
     )
     try:
-        _, history = picard_iterate(u0, v_gate, cfg, mcfg)
+        _, history = picard_iterate(u0, v_traj, cfg, mcfg)
         picard_info = {
             "converged": True,
             "iterations": len(history),
@@ -196,20 +194,20 @@ def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
     w_traj = solve_lans(w0, cfg, pcfg.t_end, dt)
 
     idx = BesovIndex(3.0 / pcfg.p, pcfg.p, pcfg.q)
-    sums = [u + v for u, v in zip(u_traj.states, v_traj.states)]
-    gaps = (s - w for s, w in zip(sums, w_traj.states))
+    # gaps are formed node by node: whole stacked gap arrays raise peak memory
+    gaps = ((u + v) - w for u, v, w in zip(u_traj.coeffs, v_traj.coeffs, w_traj.coeffs))
     _, disc_trace = _weighted_trace(w_traj.times, gaps, 0.0, idx, part)
     discrepancy = float(np.max(disc_trace))
 
     # self-convergence at dt/2 for both sides of the comparison
     w_half = solve_lans(w0, cfg, pcfg.t_end, dt / 2.0)
-    err_w = _weighted_sup(w_traj.times, (a - b for a, b in zip(w_traj.states, w_half.states[::2])), 0.0, idx, part)
+    err_w = _weighted_sup(w_traj.times, (a - b for a, b in zip(w_traj.coeffs, w_half.coeffs[::2])), 0.0, idx, part)
     del w_half
     v_half = solve_lans(v0, cfg, pcfg.t_end, dt / 2.0)
     u_half = solve_mlans(u0, v_half, cfg, pcfg.t_end, dt / 2.0)
-    sums_half = [u + v for u, v in zip(u_half.states[::2], v_half.states[::2])]
-    err_uv = _weighted_sup(w_traj.times, (a - b for a, b in zip(sums, sums_half)), 0.0, idx, part)
-    del u_half, v_half, sums_half
+    err_uv = _weighted_sup(w_traj.times, ((u + v) - (uh + vh) for u, v, uh, vh in zip(
+        u_traj.coeffs, v_traj.coeffs, u_half.coeffs[::2], v_half.coeffs[::2])), 0.0, idx, part)
+    del u_half, v_half
     self_error = max(err_w, err_uv)
 
     tolerance = DISCREPANCY_FACTOR * self_error + 1e-14 * pcfg.data_scale

@@ -1,11 +1,12 @@
 """Command-line entry point: exit codes, artifacts, config merging."""
 
 import json
+import re
 
 import pytest
 
 from lanslab import read_field
-from lanslab.cli import main
+from lanslab.cli import build_parser, main
 
 
 def read_report(path):
@@ -161,6 +162,21 @@ class TestPipeline:
         doc = read_report(out / "pipeline.json")
         assert doc["status"] == "aborted"
         assert doc["reason"].startswith("split:")
+
+    def test_flags_types_and_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["pipeline", "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[(--[a-z-]+)", usage) == [
+            "--n", "--alpha", "--nu", "--p", "--p-tilde", "--q", "--epsilon",
+            "--t-end", "--steps", "--seed", "--data-scale", "--out", "--config"]
+        args = build_parser().parse_args(["pipeline", "--steps", "8", "--p", "6"])
+        assert args.steps == 8 and type(args.steps) is int
+        assert args.p == 6.0 and type(args.p) is float
+        assert args.defaults == {
+            "n": 32, "alpha": 0.1, "nu": 1.0, "p": 6.0, "p_tilde": 30.0, "q": 2.0,
+            "epsilon": 1e-3, "t_end": 0.05, "steps": 32, "seed": 0, "data_scale": 0.01,
+            "out": "lanslab-out"}
 
 
 def test_version_flag():

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from lanslab import (
     BesovIndex,
+    GridMismatchError,
     LansConfig,
     MildSolverConfig,
     PicardDivergenceError,
@@ -231,7 +232,7 @@ class TestMarcher:
     def test_nonlinearity_off_equals_heat_flow(self, cfg16, grid16_mod):
         u0 = band_field(grid16_mod, 0)
         traj = solve_lans(u0, cfg16, 0.1, 0.0125, nonlinear=False)
-        for t, state in zip(traj.times, traj.states):
+        for t, state in zip(traj.times, traj):
             ref = heat_propagate(u0, t, cfg16.nu)
             assert l2_norm(state - ref) <= 1e-13 * max(l2_norm(ref), 1e-300)
 
@@ -253,7 +254,7 @@ class TestMarcher:
 
     def test_mean_mode_conserved(self, cfg16, grid16_mod):
         traj = solve_lans(band_field(grid16_mod, 2, scale=2.0), cfg16, 0.02, 0.0025)
-        means = [np.max(np.abs(s.coeffs[:, 0, 0, 0])) for s in traj.states]
+        means = [np.max(np.abs(s.coeffs[:, 0, 0, 0])) for s in traj]
         assert max(means) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -263,6 +264,11 @@ class TestMarcher:
         with pytest.raises(SolverBlowupError) as err:
             solve_lans(u0, cfg, 1.0, 0.25)
         assert "step" in str(err.value)
+
+    def test_data_on_other_grid_rejected(self, cfg16):
+        other = TorusGrid(dim=3, points_per_axis=16, box_length=1.0)
+        with pytest.raises(GridMismatchError):
+            solve_lans(zero_field(other), cfg16, 0.01, 0.0025, nonlinear=False)
 
     def test_dt_must_divide_horizon(self, cfg16, grid16_mod):
         with pytest.raises(ValueError):
@@ -296,7 +302,7 @@ class TestWeightedNorms:
         u0 = band_field(grid16_mod, 1)
         traj = solve_lans(u0, cfg16, 0.05, 0.00625, nonlinear=False)
         idx = BesovIndex(1.5, 2.0, 2.0)
-        sup = max(part16_mod.besov_norm(s, idx) for s in traj.states)
+        sup = max(part16_mod.besov_norm(s, idx) for s in traj)
         assert weighted_norm(traj, 0.0, idx) == pytest.approx(sup, rel=1e-12)
 
     def test_heat_flow_vanishes_at_origin(self, cfg16, grid16_mod, part16_mod):
@@ -338,7 +344,7 @@ class TestPicard:
         traj, hist = picard_iterate(zero_field(grid16_mod), None, cfg16, self.make_mcfg())
         assert len(hist) == 1
         assert hist[0].delta_norm == 0.0
-        assert max(l2_norm(s) for s in traj.states) == 0.0
+        assert max(l2_norm(s) for s in traj) == 0.0
 
     def test_small_data_contracts(self, cfg16, grid16_mod, part16_mod):
         u0 = band_field(grid16_mod, 0)
@@ -374,6 +380,24 @@ class TestPicard:
             for t in traj.times
         )
         assert worst <= 10.0 * mcfg.picard_tol
+
+    def test_background_read_from_finer_trajectory(self, cfg16, grid16_mod, part16_mod):
+        # the background's nodes at the iteration times are looked up by
+        # time, so a finer trajectory and its strided copy agree bit for bit
+        idx = BesovIndex(1.5, 2.0, 2.0)
+        u0 = band_field(grid16_mod, 7)
+        u0 = u0 * (1e-2 / part16_mod.besov_norm(u0, idx))
+        v0 = band_field(grid16_mod, 8)
+        v0 = v0 * (1e-2 / part16_mod.besov_norm(v0, idx))
+        mcfg = self.make_mcfg()
+        v_traj = solve_lans(v0, cfg16, mcfg.t_end, mcfg.dt / 4.0)
+        strided = Trajectory(v_traj.times[::4], list(v_traj)[::4], config=cfg16)
+        traj_full, hist_full = picard_iterate(u0, v_traj, cfg16, mcfg)
+        traj_strided, hist_strided = picard_iterate(u0, strided, cfg16, mcfg)
+        assert len(hist_full) > 1
+        assert hist_full == hist_strided
+        assert np.array_equal(traj_full.times, traj_strided.times)
+        assert np.array_equal(traj_full.coeffs, traj_strided.coeffs)
 
     def test_euler_rule_converges_too(self, cfg16, grid16_mod, part16_mod):
         u0 = band_field(grid16_mod, 3)
@@ -441,6 +465,25 @@ class TestConfigValidation:
         assert traj.node_index(0.1) == 1
         with pytest.raises(ValueError):
             traj.node_index(0.05)
+
+    def test_trajectory_rejects_mixed_grids(self, grid16_mod):
+        other = TorusGrid(dim=3, points_per_axis=16, box_length=1.0)
+        with pytest.raises(GridMismatchError):
+            Trajectory(np.array([0.0, 0.1]), [zero_field(grid16_mod), zero_field(other)])
+
+    def test_nodes_are_views_of_the_stacked_array(self, cfg16, grid16_mod):
+        traj = solve_lans(band_field(grid16_mod, 0), cfg16, 0.01, 0.0025)
+        assert traj.coeffs.shape == (5, 3) + grid16_mod.shape
+        for i, node in enumerate(traj):
+            assert np.shares_memory(node.coeffs, traj.coeffs[i])
+            assert np.shares_memory(traj[i].coeffs, traj.coeffs[i])
+            assert np.array_equal(node.coeffs, traj.coeffs[i])
+        assert np.shares_memory(traj.final.coeffs, traj.coeffs[-1])
+
+    def test_partition_on_other_grid_rejected(self, grid16_mod):
+        traj = Trajectory(np.array([0.0, 0.1]), [zero_field(grid16_mod)] * 2)
+        with pytest.raises(ValueError):
+            weighted_norm(traj, 0.0, BesovIndex(1.5), partition=build_partition(TorusGrid(3, 8)))
 
     def test_node_index_on_long_trajectory(self, grid16_mod):
         times = 0.001 * np.arange(1001)
