@@ -367,12 +367,6 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
             setattr(args, attr, value)
 
 
-def _required(args, parser, names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            parser.error(f"missing required option --{name.replace('_', '-')} (or config key)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lanslab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

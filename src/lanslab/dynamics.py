@@ -223,11 +223,11 @@ class Trajectory:
 
 @dataclass
 class IterationState:
-    """One Duhamel iterate: index, weighted-norm step size, composite norm."""
+    """One Duhamel iterate: index, weighted-norm step size and its ratio to
+    the previous one."""
 
     iterate_index: int
     delta_norm: float
-    e_norm: float
     ratio: float | None = None
 
 
@@ -364,31 +364,29 @@ def duhamel_map(
     return Trajectory._adopt(times, grid, coeffs, traj.equation, cfg)
 
 
-def _weighted_trace(times, coeffs, a: float, index: BesovIndex, part) -> tuple:
+def _weighted_trace(times, coeffs, a: float, index: BesovIndex, grid: TorusGrid) -> tuple:
     """(times, t^a * besov_norm) over the nodes, given one coefficient array
-    per node on the partition's grid.  The t = 0 node is skipped when a > 0
-    and has weight 1 otherwise."""
+    per node on the grid.  The t = 0 node is skipped when a > 0 and has
+    weight 1 otherwise."""
+    part = build_partition(grid)
     ts, values = [], []
     for t, c in zip(times, coeffs):
         if t == 0.0 and a > 0:
             continue
         ts.append(t)
-        values.append((1.0 if t == 0.0 else t**a) * part.besov_norm(SpectralField(part.grid, c), index))
+        values.append((1.0 if t == 0.0 else t**a) * part.besov_norm(SpectralField(grid, c), index))
     return np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
 
 
-def _weighted_sup(times, coeffs, a: float, index: BesovIndex, part) -> float:
+def _weighted_sup(times, coeffs, a: float, index: BesovIndex, grid: TorusGrid) -> float:
     """sup_t t^a * besov_norm over the nodes, 0.0 when none counts."""
-    return float(np.max(_weighted_trace(times, coeffs, a, index, part)[1], initial=0.0))
+    return float(np.max(_weighted_trace(times, coeffs, a, index, grid)[1], initial=0.0))
 
 
-def weighted_norm(traj: Trajectory, a: float, index: BesovIndex, partition=None) -> float:
+def weighted_norm(traj: Trajectory, a: float, index: BesovIndex) -> float:
     """sup over stored nodes of t^a * besov_norm(u(t)); the t = 0 node
     participates only when a = 0."""
-    part = partition or build_partition(traj.grid)
-    if part.grid != traj.grid:
-        raise GridMismatchError("partition and trajectory live on different grids")
-    return _weighted_sup(traj.times, traj.coeffs, a, index, part)
+    return _weighted_sup(traj.times, traj.coeffs, a, index, traj.grid)
 
 
 def e_norm(
@@ -397,15 +395,13 @@ def e_norm(
     weight_a: float,
     weight_index: BesovIndex,
     nu: float = 1.0,
-    partition=None,
 ) -> float:
     """Composite iteration norm: sup_t ||u(t) - exp(nu t Lap) u0|| in the
     base space B^(n/2)_(2,q) plus the weighted sup in the target space."""
-    part = partition or build_partition(traj.grid)
     base = BesovIndex(traj.grid.dim / 2.0, 2.0, weight_index.q)
     drifts = (c - heat_propagate(u0, t, nu).coeffs for t, c in zip(traj.times, traj.coeffs))
-    drift = _weighted_sup(traj.times, drifts, 0.0, base, part)
-    return drift + weighted_norm(traj, weight_a, weight_index, partition=part)
+    drift = _weighted_sup(traj.times, drifts, 0.0, base, traj.grid)
+    return drift + weighted_norm(traj, weight_a, weight_index)
 
 
 def picard_iterate(
@@ -435,7 +431,6 @@ def picard_iterate(
         mcfg.validate_weight_relation(grid.dim)
     u0 = leray_project(dealias(u0))
     times = mcfg.time_nodes()
-    part = build_partition(grid)
 
     current = Trajectory(
         times,
@@ -447,15 +442,9 @@ def picard_iterate(
     prev_delta = None
     for m in range(1, mcfg.picard_max_iters + 1):
         image = duhamel_map(current, u0, cfg, mcfg, v_traj)
-        delta = _weighted_distance(image, current, mcfg, part)
+        delta = _weighted_distance(image, current, mcfg)
         ratio = None if prev_delta in (None, 0.0) else delta / prev_delta
-        state = IterationState(
-            iterate_index=m,
-            delta_norm=delta,
-            e_norm=e_norm(image, u0, mcfg.weight_a, mcfg.weight_index, nu=cfg.nu, partition=part),
-            ratio=ratio,
-        )
-        history.append(state)
+        history.append(IterationState(iterate_index=m, delta_norm=delta, ratio=ratio))
         if not np.isfinite(delta):
             raise PicardDivergenceError("iterate norm is not finite", np.inf, history)
         if delta < mcfg.picard_tol:
@@ -481,9 +470,9 @@ def picard_iterate(
     )
 
 
-def _weighted_distance(a: Trajectory, b: Trajectory, mcfg: MildSolverConfig, part) -> float:
+def _weighted_distance(a: Trajectory, b: Trajectory, mcfg: MildSolverConfig) -> float:
     gaps = (x - y for x, y in zip(a.coeffs, b.coeffs))
-    return _weighted_sup(a.times, gaps, mcfg.weight_a, mcfg.weight_index, part)
+    return _weighted_sup(a.times, gaps, mcfg.weight_a, mcfg.weight_index, a.grid)
 
 
 def _phi_factors(z: np.ndarray) -> tuple:

@@ -16,12 +16,15 @@ Besov norms sum 2^(j*s)-weighted block L^p norms over blocks j = 0..J with
 an l^q sum (sup for q = inf); content above the top shell's support is not
 measured, so callers working near the dealias cutoff should band-limit data
 to |k| <= 2^J.
+
+The partition depends on the grid alone: build_partition(grid) returns one
+shared, read-only DyadicPartition per grid, built on the first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,7 +114,11 @@ class ParaproductPieces:
 
 
 class DyadicPartition:
-    """Sampled dyadic partition of unity on a grid's frequency lattice."""
+    """Sampled dyadic partition of unity on a grid's frequency lattice.
+
+    multipliers is read-only, because build_partition shares one instance
+    among all callers on a grid.
+    """
 
     def __init__(self, grid: TorusGrid, j_max: int):
         if j_max < 1:
@@ -123,12 +130,16 @@ class DyadicPartition:
         self.grid = grid
         self.j_max = j_max
         r = grid.k_magnitude
-        mults = [smooth_lowpass_profile(r / 2.0)]
-        for j in range(1, j_max + 1):
-            mults.append(
-                smooth_lowpass_profile(r / 2.0 ** (j + 1)) - smooth_lowpass_profile(r / 2.0**j)
-            )
-        self.multipliers = np.stack(mults)  # (j_max+1,) + grid.shape
+        # row j holds H(|k| / 2^(j+1)); differencing adjacent rows from the
+        # top down turns rows 1..j_max into the shells, evaluating each
+        # profile once
+        mults = np.empty((j_max + 1,) + grid.shape)
+        for j in range(j_max + 1):
+            mults[j] = smooth_lowpass_profile(r / 2.0 ** (j + 1))
+        for j in range(j_max, 0, -1):
+            mults[j] -= mults[j - 1]
+        mults.flags.writeable = False
+        self.multipliers = mults
 
     @cached_property
     def unity_defect(self) -> float:
@@ -240,13 +251,17 @@ def _default_j_max(grid: TorusGrid) -> int:
     return int(np.floor(np.log2(grid.k_max + 1e-12))) - 1
 
 
-def build_partition(grid: TorusGrid, j_max: int | None = None) -> DyadicPartition:
-    """Build the partition with the largest J satisfying 2^(J+1) <= K_max
-    unless an explicit j_max is requested."""
-    if j_max is None:
-        j_max = _default_j_max(grid)
-        if j_max < 1:
-            raise ValueError(
-                f"grid too coarse for a dyadic partition: K_max = {grid.k_max:.2f} < 4"
-            )
+@lru_cache(maxsize=4)
+def build_partition(grid: TorusGrid) -> DyadicPartition:
+    """The grid's partition, with the largest J satisfying 2^(J+1) <= K_max.
+
+    It is built once per grid: equal grids get the same shared, read-only
+    instance.  The cache keeps the 4 most recently used grids; a 128^3
+    partition holds 84 MB.
+    """
+    j_max = _default_j_max(grid)
+    if j_max < 1:
+        raise ValueError(
+            f"grid too coarse for a dyadic partition: K_max = {grid.k_max:.2f} < 4"
+        )
     return DyadicPartition(grid, j_max)

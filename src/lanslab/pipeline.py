@@ -63,8 +63,6 @@ class PipelineConfig:
     seed: int = 0
     data_scale: float = 1e-2
     j_cut: int = 1
-    gate_tol: float = 1e-7
-    gate_max_iters: int = 30
     gate_contraction_target: float = 0.5
 
     def __post_init__(self):
@@ -122,7 +120,7 @@ def make_rough_data(grid, seed: int, scale: float, q: float = 2.0):
     k_hi = 0.95 * 2.0 ** (part.j_max + 1)
     w0 = random_solenoidal(grid, rng, k_min=1.0, k_max=k_hi, decay=3.0)
     norm = part.besov_norm(w0, BesovIndex(1.5, 2.0, q))
-    return w0 * (scale / norm), part
+    return w0 * (scale / norm)
 
 
 def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
@@ -133,9 +131,7 @@ def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
     config_dump = {k: getattr(pcfg, k) for k in (*CLI_KEYS, "dim", "j_cut")}
 
     if w0 is None:
-        w0, part = make_rough_data(grid, pcfg.seed, pcfg.data_scale, pcfg.q)
-    else:
-        part = build_partition(grid)
+        w0 = make_rough_data(grid, pcfg.seed, pcfg.data_scale, pcfg.q)
 
     scfg = make_split_config(pcfg.p, pcfg.p_tilde, pcfg.epsilon, pcfg.j_cut, pcfg.q)
     try:
@@ -165,8 +161,8 @@ def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
         dt=pcfg.t_end / 8.0,
         weight_index=BesovIndex(1.5, 2.0, pcfg.q),
         weight_a=0.0,
-        picard_tol=pcfg.gate_tol,
-        picard_max_iters=pcfg.gate_max_iters,
+        picard_tol=1e-7,
+        picard_max_iters=30,
         contraction_target=pcfg.gate_contraction_target,
     )
     try:
@@ -196,17 +192,17 @@ def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
     idx = BesovIndex(3.0 / pcfg.p, pcfg.p, pcfg.q)
     # gaps are formed node by node: whole stacked gap arrays raise peak memory
     gaps = ((u + v) - w for u, v, w in zip(u_traj.coeffs, v_traj.coeffs, w_traj.coeffs))
-    _, disc_trace = _weighted_trace(w_traj.times, gaps, 0.0, idx, part)
+    _, disc_trace = _weighted_trace(w_traj.times, gaps, 0.0, idx, grid)
     discrepancy = float(np.max(disc_trace))
 
     # self-convergence at dt/2 for both sides of the comparison
     w_half = solve_lans(w0, cfg, pcfg.t_end, dt / 2.0)
-    err_w = _weighted_sup(w_traj.times, (a - b for a, b in zip(w_traj.coeffs, w_half.coeffs[::2])), 0.0, idx, part)
+    err_w = _weighted_sup(w_traj.times, (a - b for a, b in zip(w_traj.coeffs, w_half.coeffs[::2])), 0.0, idx, grid)
     del w_half
     v_half = solve_lans(v0, cfg, pcfg.t_end, dt / 2.0)
     u_half = solve_mlans(u0, v_half, cfg, pcfg.t_end, dt / 2.0)
     err_uv = _weighted_sup(w_traj.times, ((u + v) - (uh + vh) for u, v, uh, vh in zip(
-        u_traj.coeffs, v_traj.coeffs, u_half.coeffs[::2], v_half.coeffs[::2])), 0.0, idx, part)
+        u_traj.coeffs, v_traj.coeffs, u_half.coeffs[::2], v_half.coeffs[::2])), 0.0, idx, grid)
     del u_half, v_half
     self_error = max(err_w, err_uv)
 

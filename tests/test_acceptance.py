@@ -194,7 +194,7 @@ def test_criterion_08_small_data_contraction():
     u0 = base * (1e-2 / small_norm)
     traj, hist = picard_iterate(u0, None, cfg, mcfg)
     ratios = [h.ratio for h in hist if h.ratio is not None]
-    residual = _weighted_distance(duhamel_map(traj, u0, cfg, mcfg, None), traj, mcfg, part)
+    residual = _weighted_distance(duhamel_map(traj, u0, cfg, mcfg, None), traj, mcfg)
 
     with pytest.raises(PicardDivergenceError) as err:
         picard_iterate(u0 * 100.0, None, cfg, mcfg)

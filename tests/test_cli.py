@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from lanslab import read_field
+from lanslab import DyadicPartition, build_partition, read_field
 from lanslab.cli import build_parser, main
 
 
@@ -22,6 +22,20 @@ class TestVerify:
         lines = (out / "verify_summary.csv").read_text().splitlines()
         assert lines[0].startswith("# manifest=")
         assert lines[1] == "case,status"
+
+    def test_partition_built_once_per_grid(self, tmp_path, monkeypatch):
+        # the product suite measures on a 16^3 grid and its 32^3 refinement
+        built = []
+        init = DyadicPartition.__init__
+
+        def counting_init(self, grid, j_max):
+            built.append(grid)
+            init(self, grid, j_max)
+
+        monkeypatch.setattr(DyadicPartition, "__init__", counting_init)
+        build_partition.cache_clear()
+        main(["verify", "--suite", "product", "--n", "16", "--out", str(tmp_path / "o")])
+        assert len(built) <= 2
 
     def test_under_resolved_grid_is_inconclusive(self, tmp_path):
         # too few dyadic levels for a slope fit: refuse to certify

@@ -365,7 +365,7 @@ class TestPicard:
         image = duhamel_map(traj, u0, cfg16, mcfg, None)
         from lanslab.dynamics import _weighted_distance
 
-        resid = _weighted_distance(image, traj, mcfg, part16_mod)
+        resid = _weighted_distance(image, traj, mcfg)
         assert resid < mcfg.picard_tol
 
     def test_agrees_with_marcher(self, cfg16, grid16_mod, part16_mod):
@@ -479,11 +479,6 @@ class TestConfigValidation:
             assert np.shares_memory(traj[i].coeffs, traj.coeffs[i])
             assert np.array_equal(node.coeffs, traj.coeffs[i])
         assert np.shares_memory(traj.final.coeffs, traj.coeffs[-1])
-
-    def test_partition_on_other_grid_rejected(self, grid16_mod):
-        traj = Trajectory(np.array([0.0, 0.1]), [zero_field(grid16_mod)] * 2)
-        with pytest.raises(ValueError):
-            weighted_norm(traj, 0.0, BesovIndex(1.5), partition=build_partition(TorusGrid(3, 8)))
 
     def test_node_index_on_long_trajectory(self, grid16_mod):
         times = 0.001 * np.arange(1001)

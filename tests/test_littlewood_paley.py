@@ -16,6 +16,7 @@ from lanslab import (
     lp_norm,
     random_band_limited,
 )
+from lanslab.littlewood_paley import smooth_lowpass_profile
 
 VOLUME_3D = (2.0 * np.pi) ** 3
 COS_NORM = np.sqrt(VOLUME_3D / 2.0)  # L2 norm of a single cosine mode
@@ -36,6 +37,22 @@ class TestPartitionStructure:
     def test_too_deep_partition_rejected(self, grid16):
         with pytest.raises(ValueError):
             DyadicPartition(grid16, j_max=2)
+
+    def test_one_shared_read_only_partition_per_grid(self):
+        part = build_partition(TorusGrid(3, 16))
+        assert build_partition(TorusGrid(3, 16)) is part
+        with pytest.raises(ValueError):
+            part.multipliers[0, 0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_multipliers_match_shell_formula_bit_for_bit(self, n):
+        grid = TorusGrid(3, n)
+        part = build_partition(grid)
+        r = grid.k_magnitude
+        assert np.array_equal(part.multipliers[0], smooth_lowpass_profile(r / 2.0))
+        for j in range(1, part.j_max + 1):
+            shell = smooth_lowpass_profile(r / 2.0 ** (j + 1)) - smooth_lowpass_profile(r / 2.0**j)
+            assert np.array_equal(part.multipliers[j], shell), f"N={n}, j={j}"
 
     def test_unity_on_covered_ball(self, part32):
         assert part32.unity_defect <= 1e-12
