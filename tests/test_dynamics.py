@@ -44,6 +44,7 @@ from lanslab import (
     weighted_norm,
     zero_field,
 )
+from lanslab.dynamics import _nonlinear_terms
 
 HEAT_FACTOR_K2_T01 = 0.6703200460356393  # exp(-0.4), |k| = 2 for t = 0.1
 
@@ -197,6 +198,50 @@ class TestKernel:
         lhs = lans_rhs(u + v, cfg)
         rhs = mlans_rhs(u, v, cfg) + lans_rhs(v, cfg)
         assert l2_norm(lhs - rhs) <= 1e-11 * l2_norm(lhs)
+
+
+def abc_field(grid, K, A=1.0, B=0.7, C=0.4):
+    """Arnold-Beltrami-Childress flow on the shell |k| = K: curl u = K u."""
+    x, y, z = grid.mesh
+    samples = np.stack([
+        A * np.sin(K * z) + C * np.cos(K * y),
+        B * np.sin(K * x) + A * np.cos(K * z),
+        C * np.sin(K * y) + B * np.cos(K * x),
+    ])
+    return forward_transform(samples, grid)
+
+
+BELTRAMI_CASES = [(n, K, alpha) for n in (16, 32) for K in (1, 3) for alpha in (0.0, 0.1, 0.5)]
+
+
+class TestBeltramiOracle:
+    """Exact solutions that do not depend on how the kernel is written.
+
+    For a Beltrami field (curl u = K u) the advection term
+    (u.grad)u = grad(|u|^2/2) - u x curl u is a gradient, and so is the
+    filtered stress term, so the projected nonlinearity vanishes and the
+    filtered flow is the heat flow.  The raw terms are O(1), so a wrong
+    factor or index anywhere in the kernel shows up.
+    """
+
+    @pytest.mark.parametrize("n, K, alpha", BELTRAMI_CASES)
+    def test_projected_nonlinearity_vanishes(self, n, K, alpha):
+        grid = TorusGrid(dim=3, points_per_axis=n)
+        cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
+        u = abc_field(grid, K)
+        raw = l2_norm(_nonlinear_terms(u, cfg))
+        assert raw >= 0.1 * l2_norm(u)
+        assert l2_norm(nonlinear_rhs(u, cfg)) <= 1e-13 * raw
+
+    @pytest.mark.parametrize("n, K, alpha", BELTRAMI_CASES)
+    def test_march_is_the_heat_flow(self, n, K, alpha):
+        grid = TorusGrid(dim=3, points_per_axis=n)
+        cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
+        u0 = abc_field(grid, K)
+        traj = solve_lans(u0, cfg, 0.08, 0.01)
+        ref = heat_propagate(u0, 0.08, cfg.nu)
+        assert len(traj) == 9
+        assert l2_norm(traj.final - ref) <= 1e-13 * l2_norm(ref)
 
 
 class TestHeatPropagator:
