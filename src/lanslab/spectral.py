@@ -6,17 +6,36 @@ normalization a field f(x) = sum_k fhat(k) exp(i k.x) satisfies
 fhat(+-(1,0,0)) = 1/2 for f = cos(x1), and Parseval reads
 integral |f|^2 dx = L^n * sum_k |fhat(k)|^2.
 
+Every transform is real.  forward_transform is an rfftn onto the half
+lattice (last axis 0..N/2) followed by Hermitian completion, so its output
+satisfies c(-k) == conj c(k) bit for bit.  inverse_transform is an irfftn
+of the Hermitian part (c(k) + conj c(-k))/2, which equals the real part of
+the complex inverse for any coefficients.  The private helpers _rfft,
+_irfft and _full are the package's only FFT call sites.
+
 Linear differential operators are diagonal multipliers and therefore exact
 on band-limited data.  Products are not formed here: the nonlinearity
-kernel in dynamics takes them in physical space and follows them with the
-dealias mask, which zeroes every coefficient whose max-norm frequency
-exceeds dealias_fraction * N/2.
+kernel in dynamics takes them in physical space on the half lattice and
+follows them with the dealias mask, which zeroes every coefficient whose
+max-norm frequency exceeds dealias_fraction * N/2.
+
+Nyquist modes: on the full lattice the index N/2 of an axis is the
+frequency -N/2, whose mirror image is itself.  The public gradient and
+divergence multiply it by i k = -i N/2 like any other mode, which makes the
+result non-Hermitian there (inverse_transform then drops that content).
+The half-lattice odd multipliers of the kernel are 0 at every Nyquist index
+instead, which for Hermitian input gives the same physical field.
+
+Lattice arrays (mesh, k_squared, k_magnitude, dealias_mask and the kernel's
+half-lattice arrays) are built once per grid value, read-only, and shared
+by equal TorusGrid objects through a small module cache.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,11 +117,10 @@ class TorusGrid:
     def axis_coordinates(self) -> np.ndarray:
         return np.arange(self.points_per_axis) * self.spacing
 
-    @cached_property
+    @property
     def mesh(self) -> np.ndarray:
         """Physical coordinates, shape (dim,) + shape."""
-        axes = np.meshgrid(*([self.axis_coordinates] * self.dim), indexing="ij")
-        return np.stack(axes)
+        return _lattice(self).mesh
 
     @cached_property
     def mode_numbers(self) -> list:
@@ -121,16 +139,13 @@ class TorusGrid:
         """Physical wavenumbers k_i per axis, broadcastable."""
         return [m * self.wavenumber_scale for m in self.mode_numbers]
 
-    @cached_property
+    @property
     def k_squared(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for k in self.wavenumbers:
-            out = out + k**2
-        return out
+        return _lattice(self).k_squared
 
-    @cached_property
+    @property
     def k_magnitude(self) -> np.ndarray:
-        return np.sqrt(self.k_squared)
+        return _lattice(self).k_magnitude
 
     @cached_property
     def dealias_keep(self) -> int:
@@ -142,13 +157,86 @@ class TorusGrid:
         """Dealias cutoff in physical wavenumber units."""
         return self.dealias_fraction * (self.points_per_axis / 2.0) * self.wavenumber_scale
 
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        return _lattice(self).dealias_mask
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Lattice:
+    """Read-only lattice arrays of one grid value, each built on first use.
+
+    The full-lattice arrays back TorusGrid's properties.  The half_ arrays
+    live on the rfftn half lattice (last axis 0..N/2) of the nonlinearity
+    kernel; half_wavenumbers are the odd multipliers' k_i, 0 at each axis's
+    Nyquist index.
+    """
+
+    def __init__(self, grid: TorusGrid):
+        self.grid = grid
+
+    @cached_property
+    def mesh(self) -> np.ndarray:
+        g = self.grid
+        return _frozen(np.stack(np.meshgrid(*([g.axis_coordinates] * g.dim), indexing="ij")))
+
+    @cached_property
+    def k_squared(self) -> np.ndarray:
+        return _frozen(_sum_of_squares(self.grid.wavenumbers, self.grid.shape))
+
+    @cached_property
+    def k_magnitude(self) -> np.ndarray:
+        return _frozen(np.sqrt(self.k_squared))
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        keep = self.dealias_keep
-        mask = np.ones(self.shape, dtype=bool)
-        for m in self.mode_numbers:
-            mask &= np.abs(m) <= keep
-        return mask
+        return _frozen(_keep_mask(self.grid.mode_numbers, self.grid))
+
+    @cached_property
+    def _half_modes(self) -> list:
+        n = self.grid.points_per_axis
+        axes = [np.fft.fftfreq(n, d=1.0 / n)] * (self.grid.dim - 1) + [np.arange(n // 2 + 1, dtype=float)]
+        return np.meshgrid(*axes, indexing="ij", sparse=True)
+
+    @cached_property
+    def half_wavenumbers(self) -> list:
+        nyquist = self.grid.points_per_axis // 2
+        return [_frozen(np.where(np.abs(m) == nyquist, 0.0, m * self.grid.wavenumber_scale))
+                for m in self._half_modes]
+
+    @cached_property
+    def half_k_squared(self) -> np.ndarray:
+        g = self.grid
+        shape = g.shape[:-1] + (g.points_per_axis // 2 + 1,)
+        return _frozen(_sum_of_squares([m * g.wavenumber_scale for m in self._half_modes], shape))
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        return _frozen(_keep_mask(self._half_modes, self.grid))
+
+
+def _sum_of_squares(wavenumbers: list, shape: tuple) -> np.ndarray:
+    out = np.zeros(shape)
+    for k in wavenumbers:
+        out = out + k**2
+    return out
+
+
+def _keep_mask(mode_numbers: list, grid: TorusGrid) -> np.ndarray:
+    mask = np.ones(np.broadcast_shapes(*(m.shape for m in mode_numbers)), dtype=bool)
+    for m in mode_numbers:
+        mask &= np.abs(m) <= grid.dealias_keep
+    return mask
+
+
+@lru_cache(maxsize=4)
+def _lattice(grid: TorusGrid) -> _Lattice:
+    """The shared lattice arrays of a grid value; one command uses at most 3 grids."""
+    return _Lattice(grid)
 
 
 @dataclass
@@ -157,9 +245,11 @@ class SpectralField:
     2-tensor (rank 2) field on a TorusGrid.
 
     coeffs has shape lead_shape + grid.shape where lead_shape is (),
-    (dim,) or (dim, dim).  Fields are real: inverse_transform keeps the
-    real part, which loses content wherever the coefficients are not
-    conjugate symmetric, e.g. after the odd multiplier i k at k = -N/2.
+    (dim,) or (dim, dim), on the full lattice.  Fields are real:
+    forward_transform and the nonlinearity kernel return exactly Hermitian
+    coefficients, and inverse_transform reads only their Hermitian part,
+    which loses content wherever the coefficients are not conjugate
+    symmetric, e.g. after the odd multiplier i k at k = -N/2.
     """
 
     grid: TorusGrid
@@ -218,19 +308,76 @@ def zero_field(grid: TorusGrid, rank: int = 1) -> SpectralField:
     return SpectralField(grid, np.zeros(lead + grid.shape, dtype=np.complex128))
 
 
+def _axes(a: np.ndarray, grid: TorusGrid) -> tuple:
+    return tuple(range(a.ndim - grid.dim, a.ndim))
+
+
+def _half(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The rfftn half lattice (last axis 0..N/2) of full or half coefficients, as a view."""
+    return coeffs[..., : grid.points_per_axis // 2 + 1]
+
+
+def _rfft(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Real samples -> half-lattice coefficients (series normalization)."""
+    return np.fft.rfftn(samples, axes=_axes(samples, grid), norm="forward")
+
+
+def _irfft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Real samples of the Hermitian spectrum whose half lattice coeffs holds."""
+    half = _half(coeffs, grid)
+    return np.fft.irfftn(half, s=grid.shape, axes=_axes(half, grid), norm="forward")
+
+
+# (destination, source) slices mapping lattice index i to (-i) mod N
+_MIRROR = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+
+
+def _conj_mirror(src: np.ndarray, out: np.ndarray, grid: TorusGrid, last: tuple):
+    """out[..., k] = conj src[..., -k]: every lattice axis but the last maps
+    index i to (-i) mod N, the last one by its (destination, source) pairs."""
+    for picks in itertools.product(*([_MIRROR] * (grid.dim - 1)), last):
+        np.conjugate(src[(...,) + tuple(p[1] for p in picks)], out=out[(...,) + tuple(p[0] for p in picks)])
+
+
+def _full(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Hermitian completion of half-lattice coefficients to the full lattice.
+
+    The self-mirrored planes k_last = 0 and N/2 keep their Hermitian part
+    (c(k) + conj c(-k))/2, the rest is the conjugate mirror image, so the
+    output satisfies c(-k) == conj c(k) bit for bit.
+    """
+    n = grid.points_per_axis
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : n // 2 + 1] = half
+    for m in (0, n // 2):
+        plane = out[..., m : m + 1]
+        mirror = np.empty_like(plane)
+        _conj_mirror(half, mirror, grid, ((slice(None), slice(m, m + 1)),))
+        plane += mirror
+        plane *= 0.5
+    _conj_mirror(half, out[..., n // 2 + 1 :], grid, ((slice(None), slice(n // 2 - 1, 0, -1)),))
+    return out
+
+
+def _hermitian_half(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Half lattice of the Hermitian part (c(k) + conj c(-k))/2 of full coefficients."""
+    n = grid.points_per_axis
+    out = np.empty_like(_half(coeffs, grid))
+    _conj_mirror(coeffs, out, grid, ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n // 2 - 1, -1))))
+    out += _half(coeffs, grid)
+    out *= 0.5
+    return out
+
+
 def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Physical samples -> Fourier coefficients (series normalization)."""
-    samples = np.asarray(samples)
-    axes = tuple(range(samples.ndim - grid.dim, samples.ndim))
-    coeffs = np.fft.fftn(samples, axes=axes) / grid.points_per_axis**grid.dim
-    return SpectralField(grid, coeffs)
+    """Real physical samples -> Hermitian Fourier coefficients (series normalization)."""
+    return SpectralField(grid, _full(_rfft(np.asarray(samples), grid), grid))
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Fourier coefficients -> real physical samples."""
-    axes = tuple(range(field.coeffs.ndim - field.grid.dim, field.coeffs.ndim))
-    samples = np.fft.ifftn(field.coeffs, axes=axes) * field.grid.points_per_axis**field.grid.dim
-    return samples.real
+    """Fourier coefficients -> real physical samples: the real part of the
+    complex inverse, formed from the Hermitian part of the coefficients."""
+    return _irfft(_hermitian_half(field.coeffs, field.grid), field.grid)
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -314,18 +461,23 @@ def leray_project(field: SpectralField) -> SpectralField:
     if field.rank != 1:
         raise ValueError("Leray projection acts on vector fields")
     g = field.grid
-    ksq = g.k_squared.copy()
-    zero = (0,) * g.dim
-    ksq[zero] = 1.0  # k = 0: projector is the identity
+    return SpectralField(g, _leray(field.coeffs, g.wavenumbers, g.k_squared))
+
+
+def _leray(coeffs: np.ndarray, wavenumbers: list, k_squared: np.ndarray) -> np.ndarray:
+    """c - k (k.c)/|k|^2 mode by mode on the lattice of the given arrays
+    (full or half), identity at k = 0."""
+    ksq = k_squared.copy()
+    ksq[(0,) * ksq.ndim] = 1.0  # k = 0: projector is the identity
     kdotu = None
-    for j, k in enumerate(g.wavenumbers):
-        term = k * field.coeffs[j]
+    for j, k in enumerate(wavenumbers):
+        term = k * coeffs[j]
         kdotu = term if kdotu is None else kdotu + term
     kdotu = kdotu / ksq
-    out = np.empty_like(field.coeffs)
-    for j, k in enumerate(g.wavenumbers):
-        out[j] = field.coeffs[j] - k * kdotu
-    return SpectralField(g, out)
+    out = np.empty_like(coeffs)
+    for j, k in enumerate(wavenumbers):
+        out[j] = coeffs[j] - k * kdotu
+    return out
 
 
 def _pointwise_magnitude(samples: np.ndarray, rank: int) -> np.ndarray:

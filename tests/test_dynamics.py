@@ -166,23 +166,26 @@ class TestVectorFields:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("with_background, budget", [(False, 30), (True, 60)])
+    @pytest.mark.parametrize("with_background, budget", [(False, 27), (True, 57)])
     def test_scalar_transform_budget(self, cfg16, grid16_mod, monkeypatch, with_background, budget):
         # every transform spans the whole grid, so each leading index of the
-        # transformed array is one scalar FFT
+        # transformed array is one scalar FFT; real transforms are counted on
+        # their real-grid side (the half spectrum has N^2 (N/2 + 1) points)
         u = band_field(grid16_mod, 40)
         v = band_field(grid16_mod, 41) if with_background else None
         scalar = []
 
-        def counting(original):
+        def counting(name, original):
             def wrapped(a, *args, **kwargs):
-                scalar.append(np.asarray(a).size // grid16_mod.points_per_axis**3)
-                return original(a, *args, **kwargs)
+                out = original(a, *args, **kwargs)
+                real_side = out if name == "irfftn" else a
+                scalar.append(np.asarray(real_side).size // grid16_mod.points_per_axis**3)
+                return out
 
             return wrapped
 
-        for name in ("fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         nonlinear_rhs(u, cfg16, v)
         assert 0 < sum(scalar) <= budget
 
@@ -399,6 +402,39 @@ class TestPicard:
         ratios = [h.ratio for h in hist if h.ratio is not None]
         assert all(r <= 0.5 for r in ratios)
         assert hist[-1].delta_norm < 1e-10
+
+    def test_heat_flow_made_once_per_node(self, cfg16, grid16_mod, part16_mod, monkeypatch):
+        # the start trajectory takes one heat flow per node; every Duhamel
+        # image advances the flow of u0 by the one-step factor instead
+        from lanslab import dynamics
+
+        calls = []
+        original = dynamics.heat_propagate
+
+        def counting(f, t, nu=1.0):
+            calls.append(t)
+            return original(f, t, nu)
+
+        monkeypatch.setattr(dynamics, "heat_propagate", counting)
+        u0 = band_field(grid16_mod, 0)
+        u0 = u0 * (1e-2 / part16_mod.besov_norm(u0, BesovIndex(1.5, 2.0, 2.0)))
+        mcfg = self.make_mcfg()
+        traj, hist = picard_iterate(u0, None, cfg16, mcfg)
+        assert len(hist) >= 2
+        np.testing.assert_array_equal(calls, mcfg.time_nodes())
+
+    def test_duhamel_heat_flow_matches_the_semigroup(self, cfg16, grid16_mod):
+        # with the nonlinearity absent (zero data has none) the map is the
+        # heat flow; a start at t0 > 0 advances the flow from t0
+        u0 = band_field(grid16_mod, 3)
+        mcfg = self.make_mcfg()
+        for t0 in (0.0, 0.01):
+            times = t0 + mcfg.time_nodes()
+            zero = Trajectory(times, [zero_field(grid16_mod)] * len(times))
+            image = duhamel_map(zero, u0, cfg16, mcfg)
+            for t, state in zip(times, image):
+                ref = heat_propagate(u0, t, cfg16.nu)
+                assert l2_norm(state - ref) <= 1e-14 * l2_norm(ref)
 
     def test_fixed_point_residual(self, cfg16, grid16_mod, part16_mod):
         # re-applying the map to the converged trajectory barely moves it

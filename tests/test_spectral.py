@@ -6,6 +6,7 @@ Every numeric expectation here is frozen from a hand computation on the
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lanslab import (
     GridMismatchError,
@@ -73,6 +74,16 @@ class TestTorusGrid:
         assert l2_norm(dealias(mode5)) > 1.0
         assert l2_norm(dealias(mode6)) < 1e-13 * l2_norm(mode6)
 
+    def test_equal_grids_share_read_only_lattice_arrays(self):
+        a, b = TorusGrid(dim=3, points_per_axis=16), TorusGrid(dim=3, points_per_axis=16)
+        assert a is not b
+        for name in ("mesh", "k_squared", "k_magnitude", "dealias_mask"):
+            arr = getattr(a, name)
+            assert arr is getattr(b, name), name
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+        assert a.k_squared is not TorusGrid(dim=3, points_per_axis=16, box_length=1.0).k_squared
+
     def test_wavenumber_scale_with_box_length(self):
         g = TorusGrid(dim=3, points_per_axis=16, box_length=np.pi)
         assert g.wavenumber_scale == pytest.approx(2.0)
@@ -106,6 +117,37 @@ class TestTransforms:
     def test_lp_infinity_is_peak_value(self, grid16):
         f = single_mode(grid16, (1, 0, 0))
         assert lp_norm(f, np.inf) == pytest.approx(1.0, rel=1e-12)
+
+
+def mirrored(c, dim):
+    """c(-k) on the lattice: index i -> (-i) mod N along each lattice axis."""
+    axes = tuple(range(c.ndim - dim, c.ndim))
+    return np.roll(np.flip(c, axes), 1, axes)
+
+
+TRANSFORM_CASES = [(dim, n, rank) for dim, n in ((2, 8), (2, 16), (3, 8), (3, 16)) for rank in (0, 1, 2)]
+
+
+class TestTransformProperties:
+    @pytest.mark.parametrize("dim, n, rank", TRANSFORM_CASES)
+    @given(seed=st.integers(0, 2**31), scale=st.floats(1e-3, 1e3))
+    def test_forward_output_is_exactly_hermitian(self, dim, n, rank, seed, scale):
+        grid = TorusGrid(dim=dim, points_per_axis=n)
+        samples = scale * np.random.default_rng(seed).standard_normal((dim,) * rank + grid.shape)
+        c = forward_transform(samples, grid).coeffs
+        assert np.array_equal(mirrored(c, dim), np.conj(c))
+
+    @pytest.mark.parametrize("dim, n, rank", TRANSFORM_CASES)
+    @given(seed=st.integers(0, 2**31), scale=st.floats(1e-3, 1e3))
+    def test_inverse_is_the_real_part_of_the_complex_inverse(self, dim, n, rank, seed, scale):
+        # arbitrary complex coefficients, Nyquist planes included
+        grid = TorusGrid(dim=dim, points_per_axis=n)
+        rng = np.random.default_rng(seed)
+        shape = (dim,) * rank + grid.shape
+        c = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        expected = np.fft.ifftn(c, axes=tuple(range(rank, rank + dim))).real * n**dim
+        got = inverse_transform(SpectralField(grid, c))
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 class TestDerivatives:
