@@ -258,7 +258,8 @@ def _flux_half(grid: TorusGrid, cu: np.ndarray, cw: np.ndarray | None = None) ->
         tens = np.stack([0.5 * (pu[i] * pw[j] + pw[i] * pu[j]) for i, j in pairs])
     entries = _rfft(tens, grid) * _lattice(grid).half_dealias_mask
     sym = {(i, j): entries[e] for e, (i, j) in enumerate(pairs)}
-    return _divergence_half([[sym[min(i, j), max(i, j)] for j in range(grid.dim)] for i in range(grid.dim)], grid)
+    rows = [[sym[min(i, j), max(i, j)] for j in range(grid.dim)] for i in range(grid.dim)]
+    return _divergence_half(rows, grid)
 
 
 def _divergence_half(rows, grid: TorusGrid) -> np.ndarray:
@@ -329,7 +330,8 @@ def _nonlinear_half(u: SpectralField, cfg: LansConfig, v: SpectralField | None =
     _check_same_grid(u, v)
     hu = _half(u.coeffs, grid)
     flux = _flux_half(grid, hu, hu + 2.0 * _half(v.coeffs, grid))
-    return flux + _half(reynolds_stress(u, u, cfg).coeffs, grid) + 2.0 * _half(reynolds_stress(u, v, cfg).coeffs, grid)
+    self_stress = _half(reynolds_stress(u, u, cfg).coeffs, grid)
+    return flux + self_stress + 2.0 * _half(reynolds_stress(u, v, cfg).coeffs, grid)
 
 
 def _nonlinear_terms(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
@@ -349,7 +351,8 @@ def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = N
     projected on the half lattice and expanded to the full lattice once.
     """
     lat = _lattice(u.grid)
-    return SpectralField(u.grid, _full(-_leray(_nonlinear_half(u, cfg, v), lat.half_wavenumbers, lat.half_k_squared), u.grid))
+    projected = _leray(_nonlinear_half(u, cfg, v), lat.half_wavenumbers, lat.half_k_squared)
+    return SpectralField(u.grid, _full(-projected, u.grid))
 
 
 def lans_rhs(w: SpectralField, cfg: LansConfig) -> SpectralField:
