@@ -17,14 +17,14 @@ nonlinear term is Leray-projected, which removes exactly the gradient
 component.
 
 The nonlinearity kernel (_flux, reynolds_stress, nonlinear_rhs) works on
-the rfftn half lattice.  It reads only the half lattice of each input, so
-it takes the input to be the Hermitian spectrum of a real field.  It makes
-real transforms only, applies the gradient, dealias, Helmholtz-inverse,
-divergence and Leray multipliers on the half lattice, and expands to the
-full lattice once per returned field.  Its odd multipliers i k are 0 at
-every Nyquist index, which for Hermitian input gives the same physical
-products as the full-lattice operators.  A self term costs 27 real scalar
-transforms, one with a background 57.
+the rfftn half lattice.  Like every reader of the coefficient contract in
+spectral it reads only the half lattice of each input.  It makes real
+transforms only, applies the gradient, dealias, Helmholtz-inverse,
+divergence and Leray multipliers on half-lattice views of the grid's one
+multiplier set, and expands to the full lattice once per returned field,
+so its outputs are exactly Hermitian and equal the full-lattice operators'
+results.  A self term costs 27 real scalar transforms, one with a
+background 57.
 
 A Trajectory stacks its states into one coefficient array, and all norms
 of trajectories are weighted Besov sups of the form sup_t t^a ||u(t)||,
@@ -44,10 +44,10 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _check_same_grid,
+    _contract,
     _full,
     _half,
     _irfft,
-    _lattice,
     _leray,
     _rfft,
     dealias,
@@ -256,19 +256,21 @@ def _flux_half(grid: TorusGrid, cu: np.ndarray, cw: np.ndarray | None = None) ->
         tens = np.stack([pu[i] * pu[j] for i, j in pairs])
     else:
         tens = np.stack([0.5 * (pu[i] * pw[j] + pw[i] * pu[j]) for i, j in pairs])
-    entries = _rfft(tens, grid) * _lattice(grid).half_dealias_mask
+    entries = _rfft(tens, grid) * _half(grid.dealias_mask, grid)
     sym = {(i, j): entries[e] for e, (i, j) in enumerate(pairs)}
     rows = [[sym[min(i, j), max(i, j)] for j in range(grid.dim)] for i in range(grid.dim)]
     return _divergence_half(rows, grid)
 
 
+def _half_wavenumbers(grid: TorusGrid) -> list:
+    """Half-lattice views of the grid's odd-multiplier wavenumbers."""
+    return [_half(k, grid) for k in grid.wavenumbers]
+
+
 def _divergence_half(rows, grid: TorusGrid) -> np.ndarray:
     """(div T)_i = sum_j i k_j T[i][j] on the half lattice, T given by rows."""
-    ik = [1j * k for k in _lattice(grid).half_wavenumbers]
-    out = np.empty((len(rows),) + rows[0][0].shape, dtype=np.complex128)
-    for i, row in enumerate(rows):
-        out[i] = sum(t * k for t, k in zip(row, ik))
-    return out
+    half_k = _half_wavenumbers(grid)
+    return np.stack([_contract(row, half_k) for row in rows])
 
 
 def _flux(u: SpectralField, w: SpectralField) -> SpectralField:
@@ -283,7 +285,7 @@ def _jacobian_parts(coeffs: np.ndarray, grid: TorusGrid) -> tuple:
     """Physical Def = (J + J^T)/2 and Rot = (J - J^T)/2, J[i, j] = d_j f_i,
     of the vector field with these (full or half) coefficients."""
     half = _half(coeffs, grid)
-    jac = _irfft(np.stack([half * (1j * k) for k in _lattice(grid).half_wavenumbers], axis=1), grid)
+    jac = _irfft(np.stack([half * (1j * k) for k in _half_wavenumbers(grid)], axis=1), grid)
     jac_t = np.swapaxes(jac, 0, 1)
     d, r = jac + jac_t, jac - jac_t
     d *= 0.5
@@ -312,9 +314,9 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
     else:
         d_g, r_g = _jacobian_parts(g.coeffs, grid)
         prod = np.einsum("im...,mj...->ij...", d_f, r_g) + np.einsum("im...,mj...->ij...", d_g, r_f)
-    lat = _lattice(grid)
     # dealias, Helmholtz inverse and the factor alpha^2/2 as one multiplier
-    mult = lat.half_dealias_mask * (0.5 * cfg.alpha**2 / (1.0 + cfg.alpha**2 * lat.half_k_squared))
+    helmholtz = 0.5 * cfg.alpha**2 / (1.0 + cfg.alpha**2 * _half(grid.k_squared, grid))
+    mult = _half(grid.dealias_mask, grid) * helmholtz
     return SpectralField(grid, _full(_divergence_half(_rfft(prod, grid) * mult, grid), grid))
 
 
@@ -350,8 +352,7 @@ def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = N
     No pure v-v terms appear in either case.  The terms are summed and
     projected on the half lattice and expanded to the full lattice once.
     """
-    lat = _lattice(u.grid)
-    projected = _leray(_nonlinear_half(u, cfg, v), lat.half_wavenumbers, lat.half_k_squared)
+    projected = _leray(_nonlinear_half(u, cfg, v), _half_wavenumbers(u.grid))
     return SpectralField(u.grid, _full(-projected, u.grid))
 
 

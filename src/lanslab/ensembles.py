@@ -72,8 +72,8 @@ def _coherent_phases(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     spacing = grid.box_length / grid.points_per_axis
     x0 = spacing * rng.integers(0, grid.points_per_axis, size=grid.dim)
     phase = np.zeros(grid.shape)
-    for i, k in enumerate(grid.wavenumbers):
-        phase = phase + k * x0[i]
+    for i, m in enumerate(grid.mode_numbers):
+        phase = phase + m * grid.wavenumber_scale * x0[i]
     return np.exp(-1j * phase)
 
 

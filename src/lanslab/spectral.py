@@ -6,12 +6,20 @@ normalization a field f(x) = sum_k fhat(k) exp(i k.x) satisfies
 fhat(+-(1,0,0)) = 1/2 for f = cos(x1), and Parseval reads
 integral |f|^2 dx = L^n * sum_k |fhat(k)|^2.
 
-Every transform is real.  forward_transform is an rfftn onto the half
-lattice (last axis 0..N/2) followed by Hermitian completion, so its output
-satisfies c(-k) == conj c(k) bit for bit.  inverse_transform is an irfftn
-of the Hermitian part (c(k) + conj c(-k))/2, which equals the real part of
-the complex inverse for any coefficients.  The private helpers _rfft,
-_irfft and _full are the package's only FFT call sites.
+Coefficient contract: every coefficient array is the Hermitian spectrum of
+a real field, c(-k) == conj c(k) bit for bit, and every operator here and
+in the nonlinearity kernel keeps that symmetry exactly.  Readers read the
+rfftn half lattice (last axis 0..N/2): forward_transform is an rfftn
+followed by Hermitian completion, inverse_transform one irfftn of the half
+lattice.  The private helpers _rfft, _irfft and _full are the package's
+only FFT call sites.
+
+Nyquist policy: on the full lattice the index N/2 of an axis is the
+frequency -N/2, whose mirror image is itself, so the odd multiplier i k
+cannot keep Hermitian symmetry there.  TorusGrid.wavenumbers, the one list
+that feeds every odd multiplier (gradient, divergence, the Leray
+projection and the kernel), is therefore 0 at each axis's Nyquist index;
+k_squared keeps the true |k|^2.
 
 Linear differential operators are diagonal multipliers and therefore exact
 on band-limited data.  Products are not formed here: the nonlinearity
@@ -19,16 +27,9 @@ kernel in dynamics takes them in physical space on the half lattice and
 follows them with the dealias mask, which zeroes every coefficient whose
 max-norm frequency exceeds dealias_fraction * N/2.
 
-Nyquist modes: on the full lattice the index N/2 of an axis is the
-frequency -N/2, whose mirror image is itself.  The public gradient and
-divergence multiply it by i k = -i N/2 like any other mode, which makes the
-result non-Hermitian there (inverse_transform then drops that content).
-The half-lattice odd multipliers of the kernel are 0 at every Nyquist index
-instead, which for Hermitian input gives the same physical field.
-
-Lattice arrays (mesh, k_squared, k_magnitude, dealias_mask and the kernel's
-half-lattice arrays) are built once per grid value, read-only, and shared
-by equal TorusGrid objects through a small module cache.
+Lattice arrays (mesh, k_squared, k_magnitude, dealias_mask) are built once
+per grid value, read-only, and shared by equal TorusGrid objects through a
+small module cache.
 """
 
 from __future__ import annotations
@@ -136,8 +137,10 @@ class TorusGrid:
 
     @cached_property
     def wavenumbers(self) -> list:
-        """Physical wavenumbers k_i per axis, broadcastable."""
-        return [m * self.wavenumber_scale for m in self.mode_numbers]
+        """The odd multipliers' physical wavenumbers k_i per axis,
+        broadcastable; 0 at each axis's Nyquist index."""
+        nyquist = self.points_per_axis // 2
+        return [np.where(np.abs(m) == nyquist, 0.0, m * self.wavenumber_scale) for m in self.mode_numbers]
 
     @property
     def k_squared(self) -> np.ndarray:
@@ -168,13 +171,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Lattice:
-    """Read-only lattice arrays of one grid value, each built on first use.
-
-    The full-lattice arrays back TorusGrid's properties.  The half_ arrays
-    live on the rfftn half lattice (last axis 0..N/2) of the nonlinearity
-    kernel; half_wavenumbers are the odd multipliers' k_i, 0 at each axis's
-    Nyquist index.
-    """
+    """Read-only full-lattice arrays of one grid value, each built on first use."""
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
@@ -186,7 +183,8 @@ class _Lattice:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        return _frozen(_sum_of_squares(self.grid.wavenumbers, self.grid.shape))
+        g = self.grid
+        return _frozen(_sum_of_squares([m * g.wavenumber_scale for m in g.mode_numbers]))
 
     @cached_property
     def k_magnitude(self) -> np.ndarray:
@@ -194,43 +192,18 @@ class _Lattice:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        return _frozen(_keep_mask(self.grid.mode_numbers, self.grid))
-
-    @cached_property
-    def _half_modes(self) -> list:
-        n = self.grid.points_per_axis
-        axes = [np.fft.fftfreq(n, d=1.0 / n)] * (self.grid.dim - 1) + [np.arange(n // 2 + 1, dtype=float)]
-        return np.meshgrid(*axes, indexing="ij", sparse=True)
-
-    @cached_property
-    def half_wavenumbers(self) -> list:
-        nyquist = self.grid.points_per_axis // 2
-        return [_frozen(np.where(np.abs(m) == nyquist, 0.0, m * self.grid.wavenumber_scale))
-                for m in self._half_modes]
-
-    @cached_property
-    def half_k_squared(self) -> np.ndarray:
         g = self.grid
-        shape = g.shape[:-1] + (g.points_per_axis // 2 + 1,)
-        return _frozen(_sum_of_squares([m * g.wavenumber_scale for m in self._half_modes], shape))
-
-    @cached_property
-    def half_dealias_mask(self) -> np.ndarray:
-        return _frozen(_keep_mask(self._half_modes, self.grid))
+        mask = np.ones(g.shape, dtype=bool)
+        for m in g.mode_numbers:
+            mask &= np.abs(m) <= g.dealias_keep
+        return _frozen(mask)
 
 
-def _sum_of_squares(wavenumbers: list, shape: tuple) -> np.ndarray:
-    out = np.zeros(shape)
+def _sum_of_squares(wavenumbers: list) -> np.ndarray:
+    out = np.zeros(np.broadcast_shapes(*(k.shape for k in wavenumbers)))
     for k in wavenumbers:
         out = out + k**2
     return out
-
-
-def _keep_mask(mode_numbers: list, grid: TorusGrid) -> np.ndarray:
-    mask = np.ones(np.broadcast_shapes(*(m.shape for m in mode_numbers)), dtype=bool)
-    for m in mode_numbers:
-        mask &= np.abs(m) <= grid.dealias_keep
-    return mask
 
 
 @lru_cache(maxsize=4)
@@ -245,11 +218,10 @@ class SpectralField:
     2-tensor (rank 2) field on a TorusGrid.
 
     coeffs has shape lead_shape + grid.shape where lead_shape is (),
-    (dim,) or (dim, dim), on the full lattice.  Fields are real:
-    forward_transform and the nonlinearity kernel return exactly Hermitian
-    coefficients, and inverse_transform reads only their Hermitian part,
-    which loses content wherever the coefficients are not conjugate
-    symmetric, e.g. after the odd multiplier i k at k = -N/2.
+    (dim,) or (dim, dim), on the full lattice.  Fields are real: coeffs
+    is the Hermitian spectrum of a real field, c(-k) == conj c(k), which
+    forward_transform and every operator produce exactly; readers such as
+    inverse_transform read only the rfftn half lattice.
     """
 
     grid: TorusGrid
@@ -359,25 +331,14 @@ def _full(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out
 
 
-def _hermitian_half(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Half lattice of the Hermitian part (c(k) + conj c(-k))/2 of full coefficients."""
-    n = grid.points_per_axis
-    out = np.empty_like(_half(coeffs, grid))
-    _conj_mirror(coeffs, out, grid, ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n // 2 - 1, -1))))
-    out += _half(coeffs, grid)
-    out *= 0.5
-    return out
-
-
 def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
     """Real physical samples -> Hermitian Fourier coefficients (series normalization)."""
     return SpectralField(grid, _full(_rfft(np.asarray(samples), grid), grid))
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Fourier coefficients -> real physical samples: the real part of the
-    complex inverse, formed from the Hermitian part of the coefficients."""
-    return _irfft(_hermitian_half(field.coeffs, field.grid), field.grid)
+    """Hermitian Fourier coefficients -> real physical samples."""
+    return _irfft(field.coeffs, field.grid)
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -407,13 +368,14 @@ def divergence(field: SpectralField) -> SpectralField:
     tensor -> vector with (div T)_i = sum_j d_j T[i, j])."""
     if field.rank < 1:
         raise ValueError("divergence needs a vector or tensor field")
-    g = field.grid
-    out = None
-    for j, k in enumerate(g.wavenumbers):
-        idx = (slice(None),) * (field.rank - 1) + (j,)
-        term = field.coeffs[idx] * (1j * k)
-        out = term if out is None else out + term
-    return SpectralField(g, out)
+    columns = np.moveaxis(field.coeffs, field.rank - 1, 0)  # columns[j] = field[..., j]
+    return SpectralField(field.grid, _contract(columns, field.grid.wavenumbers))
+
+
+def _contract(columns, wavenumbers: list) -> np.ndarray:
+    """sum_j i k_j columns[j]: the divergence contraction, on the lattice
+    of the given (full or half) wavenumbers."""
+    return sum(c * (1j * k) for c, k in zip(columns, wavenumbers))
 
 
 def laplacian_power(field: SpectralField, beta: float) -> SpectralField:
@@ -457,18 +419,18 @@ def heat_propagate(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField
 
 
 def leray_project(field: SpectralField) -> SpectralField:
-    """Per-mode projection onto divergence-free fields, identity at k = 0."""
+    """Per-mode projection onto divergence-free fields, identity at k = 0
+    and at the pure-Nyquist modes, where every odd multiplier is 0."""
     if field.rank != 1:
         raise ValueError("Leray projection acts on vector fields")
-    g = field.grid
-    return SpectralField(g, _leray(field.coeffs, g.wavenumbers, g.k_squared))
+    return SpectralField(field.grid, _leray(field.coeffs, field.grid.wavenumbers))
 
 
-def _leray(coeffs: np.ndarray, wavenumbers: list, k_squared: np.ndarray) -> np.ndarray:
-    """c - k (k.c)/|k|^2 mode by mode on the lattice of the given arrays
-    (full or half), identity at k = 0."""
-    ksq = k_squared.copy()
-    ksq[(0,) * ksq.ndim] = 1.0  # k = 0: projector is the identity
+def _leray(coeffs: np.ndarray, wavenumbers: list) -> np.ndarray:
+    """c - k (k.c)/|k|^2 mode by mode on the lattice of the given (full or
+    half) wavenumbers, identity wherever their |k|^2 is 0."""
+    ksq = _sum_of_squares(wavenumbers)
+    ksq[ksq == 0.0] = 1.0  # k.c is 0 there too: the projector is the identity
     kdotu = None
     for j, k in enumerate(wavenumbers):
         term = k * coeffs[j]

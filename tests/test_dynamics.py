@@ -78,11 +78,18 @@ class TestReynoldsStress:
         gf = reynolds_stress(g, f, cfg16)
         np.testing.assert_allclose(fg.coeffs, gf.coeffs, atol=1e-13 * l2_norm(fg))
 
-    def test_against_primitive_composition(self, cfg16, grid16_mod):
+    @pytest.mark.parametrize("data", ["band", "projected_noise"])
+    def test_against_primitive_composition(self, cfg16, grid16_mod, data):
         # rebuild div((alpha^2/2)(1 - alpha^2 Lap)^(-1)[Def(f) Rot(g) +
-        # Def(g) Rot(f)]) one public primitive at a time
-        f = band_field(grid16_mod, 3)
-        g = band_field(grid16_mod, 4)
+        # Def(g) Rot(f)]) one public primitive at a time; projected raw
+        # noise carries content on the Nyquist planes
+        if data == "band":
+            f = band_field(grid16_mod, 3)
+            g = band_field(grid16_mod, 4)
+        else:
+            rng = np.random.default_rng(3)
+            f, g = (leray_project(forward_transform(rng.standard_normal((3,) + grid16_mod.shape), grid16_mod))
+                    for _ in range(2))
         a = cfg16.alpha
 
         def matmul_phys(A, B):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from lanslab import (
     GridMismatchError,
+    LansConfig,
     SingularModeError,
     SolenoidalityError,
     SpectralField,
@@ -18,6 +19,7 @@ from lanslab import (
     divergence,
     forward_transform,
     gradient,
+    heat_propagate,
     helmholtz_inverse,
     inverse_transform,
     l2_inner,
@@ -25,9 +27,11 @@ from lanslab import (
     laplacian_power,
     leray_project,
     lp_norm,
+    nonlinear_rhs,
     random_solenoidal,
     relative_divergence,
     require_solenoidal,
+    reynolds_stress,
     sobolev_norm,
     zero_field,
 )
@@ -140,14 +144,62 @@ class TestTransformProperties:
     @pytest.mark.parametrize("dim, n, rank", TRANSFORM_CASES)
     @given(seed=st.integers(0, 2**31), scale=st.floats(1e-3, 1e3))
     def test_inverse_is_the_real_part_of_the_complex_inverse(self, dim, n, rank, seed, scale):
-        # arbitrary complex coefficients, Nyquist planes included
+        # Hermitian coefficients drawn directly, self-mirrored planes included
         grid = TorusGrid(dim=dim, points_per_axis=n)
         rng = np.random.default_rng(seed)
         shape = (dim,) * rank + grid.shape
         c = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        c = 0.5 * (c + np.conj(mirrored(c, dim)))
         expected = np.fft.ifftn(c, axes=tuple(range(rank, rank + dim))).real * n**dim
         got = inverse_transform(SpectralField(grid, c))
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def mean_free(f):
+    c = f.coeffs.copy()
+    c[(...,) + (0,) * f.grid.dim] = 0.0
+    return SpectralField(f.grid, c)
+
+
+# name -> (operator of a field f and a second field g, ranks of f it takes)
+OPERATORS = {
+    "dealias": (lambda f, g: dealias(f), (0, 1, 2)),
+    "gradient": (lambda f, g: gradient(f), (0, 1)),
+    "divergence": (lambda f, g: divergence(f), (1, 2)),
+    "laplacian_power": (lambda f, g: laplacian_power(f, 1.5), (0, 1, 2)),
+    "laplacian_power_negative": (lambda f, g: laplacian_power(mean_free(f), -1.0), (0, 1, 2)),
+    "helmholtz_inverse": (lambda f, g: helmholtz_inverse(f, 0.3), (0, 1, 2)),
+    "heat_propagate": (lambda f, g: heat_propagate(f, 0.01), (0, 1, 2)),
+    "leray_project": (lambda f, g: leray_project(f), (1,)),
+    "nonlinear_rhs": (lambda f, g: nonlinear_rhs(f, LansConfig(grid=f.grid, alpha=0.3)), (1,)),
+    "nonlinear_rhs_background": (lambda f, g: nonlinear_rhs(f, LansConfig(grid=f.grid, alpha=0.3), g), (1,)),
+    "reynolds_stress": (lambda f, g: reynolds_stress(f, g, LansConfig(grid=f.grid, alpha=0.3)), (1,)),
+}
+OPERATOR_CASES = [(name, dim, n, rank) for name, (_, ranks) in OPERATORS.items()
+                  for dim, n in ((2, 8), (2, 16), (3, 8), (3, 16)) for rank in ranks]
+
+
+def assert_real_field(out):
+    """Exactly Hermitian coefficients, whose Parseval sum is the quadrature norm."""
+    assert np.array_equal(mirrored(out.coeffs, out.grid.dim), np.conj(out.coeffs))
+    l2 = l2_norm(out)
+    assert abs(l2 - lp_norm(out, 2.0)) <= 1e-12 * l2
+
+
+class TestOperatorsKeepHermitianSymmetry:
+    @pytest.mark.parametrize("name, dim, n, rank", OPERATOR_CASES)
+    @given(seed=st.integers(0, 2**31), scale=st.floats(1e-3, 1e3))
+    def test_raw_noise(self, name, dim, n, rank, seed, scale):
+        # white noise fills every mode, the Nyquist planes included
+        grid = TorusGrid(dim=dim, points_per_axis=n)
+        rng = np.random.default_rng(seed)
+        f, g = (forward_transform(scale * rng.standard_normal((dim,) * rank + grid.shape), grid) for _ in range(2))
+        assert_real_field(OPERATORS[name][0](f, g))
+
+    def test_gradient_of_the_nyquist_cosine(self, grid8):
+        # cos(4 x1) on 8 points lives on the Nyquist index alone
+        f = forward_transform(np.cos(4.0 * grid8.mesh[0]), grid8)
+        assert_real_field(gradient(f))
 
 
 class TestDerivatives:
@@ -171,11 +223,17 @@ class TestDerivatives:
             gradient(u)
 
     def test_divergence_contracts_last_lead_axis(self, grid16, rng):
-        # div(grad f) = Laplacian f = -|k|^2 f
+        # div(grad f) = -sum_j k'_j^2 f with the odd multipliers' k', which
+        # is 0 along each axis's Nyquist index: -|k|^2 f on every mode with
+        # no Nyquist component, the Nyquist-zeroed sum on the rest
         f = forward_transform(rng.standard_normal(grid16.shape), grid16)
         lap = divergence(gradient(f))
+        m = np.meshgrid(*([np.fft.fftfreq(16, d=1.0 / 16)] * 3), indexing="ij")
+        nyquist = (np.abs(m[0]) == 8) | (np.abs(m[1]) == 8) | (np.abs(m[2]) == 8)
         expected = laplacian_power(f, 2.0) * (-1.0)
-        np.testing.assert_allclose(lap.coeffs, expected.coeffs, atol=1e-12)
+        np.testing.assert_allclose(lap.coeffs[~nyquist], expected.coeffs[~nyquist], atol=1e-12)
+        zeroed_sq = sum(np.where(np.abs(mj) == 8, 0.0, mj) ** 2 for mj in m)
+        np.testing.assert_allclose(lap.coeffs[nyquist], (-zeroed_sq * f.coeffs)[nyquist], atol=1e-12)
 
     def test_def_rot_at_origin(self, grid16):
         # u = (sin x2, 0, 0): at x = 0 the Jacobian is the unit entry
