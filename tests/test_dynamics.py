@@ -44,7 +44,7 @@ from lanslab import (
     weighted_norm,
     zero_field,
 )
-from lanslab.dynamics import _nonlinear_terms
+from lanslab.dynamics import _nonlinear_terms, _phi_factors
 
 HEAT_FACTOR_K2_T01 = 0.6703200460356393  # exp(-0.4), |k| = 2 for t = 0.1
 
@@ -340,6 +340,26 @@ class TestMarcher:
         w_traj = solve_lans(w0, cfg16, T, dt)
         recombined = u_traj.final + v_traj.final
         assert l2_norm(recombined - w_traj.final) <= 1e-8 * l2_norm(w_traj.final)
+
+
+class TestPhiFactors:
+    def test_against_fifty_digit_reference(self):
+        # the marcher's exponential-integrator factors exp(z), (e^z - 1)/z
+        # and (e^z - 1 - z)/z^2 on z = -nu dt |k|^2, checked over [-20, 0]
+        # and on both sides of the switches at z = 0 and |z| = 1
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        sides = [np.nextafter(-1.0, 0.0), -1.0, np.nextafter(-1.0, -2.0), -1e-16, -1e-12, -1e-8, -1e-5, -1e-3]
+        z = np.concatenate([np.linspace(-20.0, 0.0, 401), sides])
+        e, phi1, phi2 = _phi_factors(z)
+        for i, zi in enumerate(z):
+            if zi == 0.0:
+                ref = (1, 1, mpmath.mpf(1) / 2)
+            else:
+                x = mpmath.mpf(zi)
+                ref = (mpmath.exp(x), mpmath.expm1(x) / x, (mpmath.exp(x) - 1 - x) / x**2)
+            for got, want in zip((e[i], phi1[i], phi2[i]), ref):
+                assert abs(got - want) <= 1e-14 * abs(want), (zi, got, want)
 
 
 class TestWeightedNorms:
