@@ -271,7 +271,10 @@ def _half_wavenumbers(grid: TorusGrid) -> list:
 def _divergence_half(rows, grid: TorusGrid) -> np.ndarray:
     """(div T)_i = sum_j i k_j T[i][j] on the half lattice, T given by rows."""
     half_k = _half_wavenumbers(grid)
-    return np.stack([_contract(row, half_k) for row in rows])
+    out = np.empty((len(rows),) + rows[0][0].shape, dtype=np.complex128)
+    for i, row in enumerate(rows):
+        out[i] = _contract(row, half_k)
+    return out
 
 
 def _flux(u: SpectralField, w: SpectralField) -> SpectralField:

@@ -50,6 +50,15 @@ CLI_KEYS = ("n", "alpha", "nu", "p", "p_tilde", "q", "epsilon", "t_end", "steps"
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Settings of one split/solve/recombine run.
+
+    p is the base integrability: the discrepancy is measured in
+    B^(3/p)_(p,q) and the split targets B^(3/p_tilde)_(p_tilde,q).  Any
+    p > 2 is accepted because the split's convexity relation needs only
+    p_tilde > p > 2; for p in (2, 3] a run checks split/recombine
+    consistency only, since the global-existence theorem is for p > 3.
+    """
+
     n: int = 32
     dim: int = 3
     alpha: float = 0.1

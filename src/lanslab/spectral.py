@@ -184,7 +184,7 @@ class _Lattice:
     @cached_property
     def k_squared(self) -> np.ndarray:
         g = self.grid
-        return _frozen(_sum_of_squares([m * g.wavenumber_scale for m in g.mode_numbers]))
+        return _frozen(sum((m * g.wavenumber_scale) ** 2 for m in g.mode_numbers))
 
     @cached_property
     def k_magnitude(self) -> np.ndarray:
@@ -197,13 +197,6 @@ class _Lattice:
         for m in g.mode_numbers:
             mask &= np.abs(m) <= g.dealias_keep
         return _frozen(mask)
-
-
-def _sum_of_squares(wavenumbers: list) -> np.ndarray:
-    out = np.zeros(np.broadcast_shapes(*(k.shape for k in wavenumbers)))
-    for k in wavenumbers:
-        out = out + k**2
-    return out
 
 
 @lru_cache(maxsize=4)
@@ -429,7 +422,7 @@ def leray_project(field: SpectralField) -> SpectralField:
 def _leray(coeffs: np.ndarray, wavenumbers: list) -> np.ndarray:
     """c - k (k.c)/|k|^2 mode by mode on the lattice of the given (full or
     half) wavenumbers, identity wherever their |k|^2 is 0."""
-    ksq = _sum_of_squares(wavenumbers)
+    ksq = sum(k**2 for k in wavenumbers)
     ksq[ksq == 0.0] = 1.0  # k.c is 0 there too: the projector is the identity
     kdotu = None
     for j, k in enumerate(wavenumbers):

@@ -51,6 +51,15 @@ class TestPassPath:
         assert isinstance(doc["split"]["scanned"][0], list)
 
 
+@pytest.mark.parametrize("p", [3.5, 4.0, 12.0])
+def test_passes_across_the_integrability_range(p):
+    # p in (2, 3] is accepted too; these runs check split/recombine
+    # consistency, the paper's theorem needs p > 3
+    rep = run_pipeline(PipelineConfig(n=16, steps=8, p=p))
+    assert rep.passed, rep.reason
+    assert rep.discrepancy <= rep.tolerance
+
+
 class TestAbortPaths:
     def test_oversized_data_fails_split(self):
         rep = run_pipeline(PipelineConfig(n=16, data_scale=1.0))
