@@ -18,6 +18,8 @@ All generators are deterministic functions of a numpy Generator.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .littlewood_paley import _default_j_max
@@ -67,14 +69,18 @@ def _coherent_phases(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     """exp(-i k.x0) for one random center x0: a translated point mass.
 
     x0 snaps to a grid node so the physical-space peak is actually sampled;
-    an off-lattice center under-reads max norms at high frequency.
+    an off-lattice center under-reads max norms at high frequency.  With x0
+    at grid index j the phase is a product of per-axis roots of unity
+    w[(m j) mod N], w[r] = exp(-2 pi i r/N), whose table holds -1 exactly
+    at N/2 and conjugate mirrors above it, so the result is exactly
+    Hermitian.
     """
-    spacing = grid.box_length / grid.points_per_axis
-    x0 = spacing * rng.integers(0, grid.points_per_axis, size=grid.dim)
-    phase = np.zeros(grid.shape)
-    for i, m in enumerate(grid.mode_numbers):
-        phase = phase + m * grid.wavenumber_scale * x0[i]
-    return np.exp(-1j * phase)
+    n = grid.points_per_axis
+    index = rng.integers(0, n, size=grid.dim)
+    w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    w[n // 2] = -1.0
+    w = np.concatenate([w, np.conj(w[n // 2 - 1 : 0 : -1])])
+    return functools.reduce(np.multiply.outer, [w[np.arange(n) * j % n] for j in index])
 
 
 def random_band_limited(

@@ -7,6 +7,7 @@ little-endian IEEE-754 complex doubles.  Files round-trip bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -94,14 +95,27 @@ def read_field(path) -> SpectralField:
 
 
 def field_to_csv(path, field: SpectralField, manifest_hash: str | None = None):
-    """Physical-space samples, one grid point per row, for plotting."""
+    """Physical-space samples, one grid point per row, for plotting.
+
+    The rows are x1, ..., x_dim, f1, ... in %.17g, comma-separated and
+    CRLF-terminated, x1 slowest; the header ends with CRLF too.  Each
+    axis coordinate is formatted once: a slab x1 = const is written with one
+    % over a template in which the coordinates are literal text, so memory
+    stays at one slab.
+    """
     g = field.grid
+    n = g.points_per_axis
     samples = inverse_transform(field)
-    values = samples.reshape(-1, g.points_per_axis**g.dim)
-    columns = [f"x{i+1}" for i in range(g.dim)] + [f"f{i+1}" for i in range(values.shape[0])]
+    components = samples.size // n**g.dim
+    columns = [f"x{i+1}" for i in range(g.dim)] + [f"f{i+1}" for i in range(components)]
     header = ",".join(columns)
     if manifest_hash:
         header = f"# manifest={manifest_hash}\n{header}"
-    rows = np.concatenate([g.mesh.reshape(g.dim, -1), values]).T
+    coords = ["%.17g" % x for x in g.axis_coordinates.tolist()]
+    values = ",%.17g" * components + "\r\n"
+    tails = ["".join("," + x for x in rest) + values for rest in itertools.product(coords, repeat=g.dim - 1)]
+    slabs = np.moveaxis(samples.reshape(components, n, -1), 0, -1)  # (x1 index, row in slab, component)
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments="")
+        fh.write(header + "\r\n")
+        for x1, slab in zip(coords, slabs):
+            fh.write((x1 + x1.join(tails)) % tuple(slab.ravel().tolist()))

@@ -27,9 +27,9 @@ kernel in dynamics takes them in physical space on the half lattice and
 follows them with the dealias mask, which zeroes every coefficient whose
 max-norm frequency exceeds dealias_fraction * N/2.
 
-Lattice arrays (mesh, k_squared, k_magnitude, dealias_mask) are built once
-per grid value, read-only, and shared by equal TorusGrid objects through a
-small module cache.
+Lattice arrays (mesh, k_squared, k_magnitude, dealias_mask and the Leray
+projection's |k|^2) are built once per grid value, read-only, and shared
+by equal TorusGrid objects through a small module cache.
 """
 
 from __future__ import annotations
@@ -197,6 +197,13 @@ class _Lattice:
         for m in g.mode_numbers:
             mask &= np.abs(m) <= g.dealias_keep
         return _frozen(mask)
+
+    @cached_property
+    def leray_k_squared(self) -> np.ndarray:
+        """|k|^2 of the odd-multiplier wavenumbers, 1 where that is 0."""
+        ksq = sum(k**2 for k in self.grid.wavenumbers)
+        ksq[ksq == 0.0] = 1.0  # k.c is 0 there too: the projector is the identity
+        return _frozen(ksq)
 
 
 @lru_cache(maxsize=4)
@@ -416,14 +423,15 @@ def leray_project(field: SpectralField) -> SpectralField:
     and at the pure-Nyquist modes, where every odd multiplier is 0."""
     if field.rank != 1:
         raise ValueError("Leray projection acts on vector fields")
-    return SpectralField(field.grid, _leray(field.coeffs, field.grid.wavenumbers))
+    return SpectralField(field.grid, _leray(field.coeffs, field.grid))
 
 
-def _leray(coeffs: np.ndarray, wavenumbers: list) -> np.ndarray:
-    """c - k (k.c)/|k|^2 mode by mode on the lattice of the given (full or
-    half) wavenumbers, identity wherever their |k|^2 is 0."""
-    ksq = sum(k**2 for k in wavenumbers)
-    ksq[ksq == 0.0] = 1.0  # k.c is 0 there too: the projector is the identity
+def _leray(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """c - k (k.c)/|k|^2 mode by mode on the full or half lattice (as wide
+    as coeffs' last axis), identity wherever that |k|^2 is 0."""
+    width = coeffs.shape[-1]
+    wavenumbers = [k[..., :width] for k in grid.wavenumbers]
+    ksq = _lattice(grid).leray_k_squared[..., :width]
     kdotu = None
     for j, k in enumerate(wavenumbers):
         term = k * coeffs[j]

@@ -173,7 +173,7 @@ class TestVectorFields:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("with_background, budget", [(False, 27), (True, 57)])
+    @pytest.mark.parametrize("with_background, budget", [(False, 27), (True, 48)])
     def test_scalar_transform_budget(self, cfg16, grid16_mod, monkeypatch, with_background, budget):
         # every transform spans the whole grid, so each leading index of the
         # transformed array is one scalar FFT; real transforms are counted on

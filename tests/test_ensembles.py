@@ -4,8 +4,10 @@ coherent-profile construction used by the extremal-scaling checks.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lanslab import (
+    TorusGrid,
     as_rng,
     band_mask,
     coverage_k_max,
@@ -116,3 +118,44 @@ class TestCoherentProfiles:
         assert np.max(np.abs(f.coeffs[on_shell])) > 3.0 * np.max(
             np.abs(f.coeffs[edge]) if np.any(edge) else 0.0
         )
+
+
+def mirrored(c, dim):
+    """c(-k) on the lattice: index i -> (-i) mod N along each lattice axis."""
+    axes = tuple(range(c.ndim - dim, c.ndim))
+    return np.roll(np.flip(c, axes), 1, axes)
+
+
+HERMITIAN_GRIDS = [TorusGrid(dim=2, points_per_axis=16), TorusGrid(dim=3, points_per_axis=8),
+                   TorusGrid(dim=3, points_per_axis=16)]
+GRID_IDS = [f"{g.points_per_axis}^{g.dim}" for g in HERMITIAN_GRIDS]
+# every j whose annulus 2^(j-1) < |k| < 2^(j+1) meets the lattice
+SHELL_CASES = [(g, j) for g in HERMITIAN_GRIDS for j in range(int(np.log2(g.points_per_axis)) + 1)]
+
+GENERATORS = {
+    "random_band_limited": lambda g, rng, coherent, lead: random_band_limited(
+        g, rng, k_max=float(g.points_per_axis), lead=lead, decay=0.5, coherent=coherent),
+    "random_solenoidal": lambda g, rng, coherent, lead: random_solenoidal(g, rng, k_max=float(g.points_per_axis)),
+    "power_law_field": lambda g, rng, coherent, lead: power_law_field(g, rng, 1.5, coherent=coherent, lead=lead),
+}
+GENERATOR_CASES = [(name, coherent) for name in GENERATORS for coherent in (False, True)
+                   if not (name == "random_solenoidal" and coherent)]
+
+
+class TestExactlyHermitian:
+    """Every generator's coefficients satisfy c(-k) == conj c(k) bit for bit,
+    the Nyquist planes included."""
+
+    @pytest.mark.parametrize("coherent", [False, True], ids=["random", "coherent"])
+    @pytest.mark.parametrize("grid, j", SHELL_CASES, ids=[f"{g.points_per_axis}^{g.dim}-j{j}" for g, j in SHELL_CASES])
+    @given(seed=st.integers(0, 2**31), vector=st.booleans())
+    def test_shell_field(self, grid, j, coherent, seed, vector):
+        f = shell_field(grid, j, as_rng(seed), coherent=coherent, lead=(grid.dim,) if vector else ())
+        assert np.array_equal(mirrored(f.coeffs, grid.dim), np.conj(f.coeffs))
+
+    @pytest.mark.parametrize("grid", HERMITIAN_GRIDS, ids=GRID_IDS)
+    @pytest.mark.parametrize("name, coherent", GENERATOR_CASES)
+    @given(seed=st.integers(0, 2**31), vector=st.booleans())
+    def test_band_generators(self, name, coherent, grid, seed, vector):
+        f = GENERATORS[name](grid, as_rng(seed), coherent, (grid.dim,) if vector else ())
+        assert np.array_equal(mirrored(f.coeffs, grid.dim), np.conj(f.coeffs))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, strategies as st
 
 from lanslab import (
     FieldFormatError,
+    SpectralField,
+    TorusGrid,
     field_to_csv,
     forward_transform,
     inverse_transform,
@@ -19,6 +22,7 @@ from lanslab import (
     read_field,
     write_field,
 )
+from lanslab import fieldio
 from lanslab.fieldio import MAGIC
 
 
@@ -69,6 +73,24 @@ class TestBinaryRoundTrip:
             read_field(path)
 
 
+CSV_CASES = [(dim, n, rank) for dim in (2, 3) for n in (8, 16) for rank in (0, 1, 2)]
+
+
+def row_by_row_csv(grid, samples, manifest) -> bytes:
+    """The CSV export written one row at a time by csv.writer: the reference."""
+    points = grid.points_per_axis**grid.dim
+    values = samples.reshape(-1, points)
+    coords = grid.mesh.reshape(grid.dim, -1)
+    buf = io.StringIO(newline="")
+    if manifest:
+        buf.write(f"# manifest={manifest}\n")
+    writer = csv.writer(buf)
+    writer.writerow([f"x{i+1}" for i in range(grid.dim)] + [f"f{i+1}" for i in range(len(values))])
+    for row in range(points):
+        writer.writerow([f"{x:.17g}" for x in (*coords[:, row], *values[:, row])])
+    return buf.getvalue().encode()
+
+
 class TestCsvExport:
     def test_manifest_line_and_shape(self, tmp_path, sample):
         path = tmp_path / "u.csv"
@@ -91,21 +113,38 @@ class TestCsvExport:
         assert vals[3] == pytest.approx(phys[0, 0, 0, 0], rel=1e-15)
 
     @pytest.mark.parametrize("manifest", [None, "abc123def456"])
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["scalar", "vector"])
-    def test_bytes_match_row_by_row_writer(self, tmp_path, grid8, manifest, lead):
-        field = forward_transform(np.random.default_rng(5).standard_normal(lead + grid8.shape), grid8)
+    @pytest.mark.parametrize("dim, n, rank", CSV_CASES)
+    def test_bytes_match_row_by_row_writer(self, tmp_path, dim, n, rank, manifest):
+        grid = TorusGrid(dim=dim, points_per_axis=n)
+        field = forward_transform(np.random.default_rng(5).standard_normal((dim,) * rank + grid.shape), grid)
         path = tmp_path / "f.csv"
         field_to_csv(path, field, manifest_hash=manifest)
-        values = inverse_transform(field).reshape(-1, 8**3)
-        coords = grid8.mesh.reshape(3, -1)
-        buf = io.StringIO(newline="")
-        if manifest:
-            buf.write(f"# manifest={manifest}\n")
-        writer = csv.writer(buf)
-        writer.writerow(["x1", "x2", "x3"] + [f"f{i+1}" for i in range(len(values))])
-        for row in range(8**3):
-            writer.writerow([f"{x:.17g}" for x in (*coords[:, row], *values[:, row])])
-        assert path.read_bytes() == buf.getvalue().encode()
+        assert path.read_bytes() == row_by_row_csv(grid, inverse_transform(field), manifest)
+
+    @pytest.mark.parametrize("manifest", [None, "abc123def456"])
+    @pytest.mark.parametrize("dim, rank", [(2, 0), (3, 1)])
+    def test_special_values_match_row_by_row_writer(self, tmp_path, monkeypatch, dim, rank, manifest):
+        # nan, +-inf and -0.0 cannot come out of a transform of finite data,
+        # so the writer is handed them as samples
+        grid = TorusGrid(dim=dim, points_per_axis=8)
+        samples = np.random.default_rng(6).standard_normal((dim,) * rank + grid.shape)
+        samples.reshape(-1)[[0, 9, 30, 50, -1]] = [np.nan, np.inf, -np.inf, -0.0, np.nan]
+        monkeypatch.setattr(fieldio, "inverse_transform", lambda field: samples)
+        path = tmp_path / "f.csv"
+        field_to_csv(path, SpectralField(grid, np.zeros(samples.shape, complex)), manifest_hash=manifest)
+        assert path.read_bytes() == row_by_row_csv(grid, samples, manifest)
+
+    def test_traced_peak_below_file_size(self, tmp_path, grid32):
+        # the writer holds one slab at a time, never the whole file as a string
+        field = forward_transform(np.random.default_rng(7).standard_normal((3,) + grid32.shape), grid32)
+        path = tmp_path / "u.csv"
+        tracemalloc.start()
+        try:
+            field_to_csv(path, field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_roundtrip_norm_preserved(self, tmp_path, sample):
         # serialization must not perturb the data it was given
