@@ -308,6 +308,7 @@ class _SharedJacobian(SpectralField):
 
 
 def _parts(f: SpectralField, grid: TorusGrid) -> tuple:
+    """Def/Rot of f: the shared ones when f carries them, else made afresh."""
     return f.jacobian_parts if isinstance(f, _SharedJacobian) else _jacobian_parts(f.coeffs, grid)
 
 
