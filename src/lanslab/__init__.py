@@ -22,7 +22,6 @@ from .dynamics import (
     SolverBlowupError,
     Trajectory,
     duhamel_map,
-    e_norm,
     heat_propagate,
     lans_rhs,
     mlans_rhs,
@@ -46,7 +45,6 @@ from .fieldio import FieldFormatError, field_to_csv, read_field, write_field
 from .inequality_lab import (
     ExponentFit,
     HypothesisViolation,
-    heat_weighted_sup,
     verify_bernstein,
     verify_embedding,
     verify_heat_smoothing,
@@ -76,7 +74,6 @@ from .monitor import (
     h2_concentration_slopes,
     h2_term_monitor,
     higher_regularity_trace,
-    make_split_config,
     split_with_report,
 )
 from .pipeline import PipelineConfig, PipelineReport, make_rough_data, run_pipeline
@@ -101,7 +98,6 @@ from .spectral import (
     relative_divergence,
     require_solenoidal,
     sobolev_norm,
-    zero_field,
 )
 
 __version__ = "1.0.0"

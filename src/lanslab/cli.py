@@ -5,7 +5,7 @@ solve    -- produce one trajectory and its norm traces
 pipeline -- split/solve/recombine consistency run
 sweep    -- parameter-grid fan-out of solves with per-cell isolation
 
-Exit codes: 0 pass, 1 fail, 2 usage error, 3 inconclusive (under-resolved).
+Exit codes: 0 pass, 1 fail, 2 usage error or bad value, 3 inconclusive (under-resolved).
 Every artifact embeds the manifest hash of the exact configuration, and
 identical configs with identical seeds rebuild identical bytes.
 """
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import LansConfig, SolverBlowupError, solve_lans, solve_mlans
+from .dynamics import LansConfig, SolverBlowupError, _time_nodes, solve_lans, solve_mlans
 from .ensembles import as_rng, random_band_limited, random_solenoidal
 from .fieldio import field_to_csv, write_field
 from .inequality_lab import (
@@ -49,6 +49,11 @@ def _version() -> str:
         return "lanslab-" + version("lanslab")
     except Exception:
         return "lanslab-0.dev"
+
+
+def _usage_error(command: str, err) -> int:
+    print(f"{command}: {err}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 # ---------------------------------------------------------------- verify
@@ -169,9 +174,11 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     if not args.suite or (args.suite != "all" and args.suite not in _SUITES):
-        known = ", ".join(sorted(_SUITES) + ["all"])
-        print(f"verify: --suite must be one of: {known}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("verify", "--suite must be one of: " + ", ".join(sorted(_SUITES) + ["all"]))
+    try:
+        TorusGrid(dim=3, points_per_axis=args.n)
+    except ValueError as err:
+        return _usage_error("verify", err)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     manifest = manifest_hash({"command": "verify", "suite": args.suite, "n": args.n, "seed": args.seed})
     out = Path(args.out)
@@ -199,10 +206,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- solve
 
 
-def _solve_once(equation: str, n: int, alpha: float, nu: float, dt: float, t_end: float,
-                seed: int, data_norm: float):
-    grid = TorusGrid(dim=3, points_per_axis=n)
-    cfg = LansConfig(grid=grid, alpha=alpha, nu=nu)
+def _solve_config(n: int, alpha: float, nu: float, dt: float, t_end: float) -> LansConfig:
+    """The settings of one solve; ValueError on a bad grid, alpha, nu or time step."""
+    _time_nodes(t_end, dt)
+    return LansConfig(grid=TorusGrid(dim=3, points_per_axis=n), alpha=alpha, nu=nu)
+
+
+def _solve_once(equation: str, cfg: LansConfig, dt: float, t_end: float, seed: int, data_norm: float):
+    grid = cfg.grid
     part = build_partition(grid)
     idx = BesovIndex(1.5, 2.0, 2.0)
     rng = as_rng(seed)
@@ -216,13 +227,17 @@ def _solve_once(equation: str, n: int, alpha: float, nu: float, dt: float, t_end
     else:
         traj = solve_lans(u0, cfg, t_end, dt)
     rows = [
-        (t, l2_norm(s), part.besov_norm(s, idx), energy_pair(s, alpha))
+        (t, l2_norm(s), part.besov_norm(s, idx), energy_pair(s, cfg.alpha))
         for t, s in zip(traj.times, traj)
     ]
     return traj, rows
 
 
 def cmd_solve(args) -> int:
+    try:
+        cfg = _solve_config(args.n, args.alpha, args.nu, args.dt, args.t_end)
+    except ValueError as err:
+        return _usage_error("solve", err)
     manifest = manifest_hash({
         "command": "solve", "equation": args.equation, "n": args.n, "alpha": args.alpha,
         "nu": args.nu, "dt": args.dt, "t_end": args.t_end, "seed": args.seed,
@@ -230,8 +245,7 @@ def cmd_solve(args) -> int:
     })
     out = Path(args.out)
     try:
-        traj, rows = _solve_once(args.equation, args.n, args.alpha, args.nu,
-                                 args.dt, args.t_end, args.seed, args.data_norm)
+        traj, rows = _solve_once(args.equation, cfg, args.dt, args.t_end, args.seed, args.data_norm)
     except SolverBlowupError as err:
         print(f"solver aborted: {err}", file=sys.stderr)
         return EXIT_FAIL
@@ -251,7 +265,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    pcfg = PipelineConfig(**{k: getattr(args, k) for k in CLI_KEYS})
+    try:
+        pcfg = PipelineConfig(**{k: getattr(args, k) for k in CLI_KEYS})
+    except ValueError as err:
+        return _usage_error("pipeline", err)
     manifest = manifest_hash({"command": "pipeline", **{k: getattr(pcfg, k) for k in CLI_KEYS}})
     report = run_pipeline(pcfg)
     out = Path(args.out)
@@ -275,8 +292,8 @@ def _parse_grid_list(text: str, cast) -> list:
 
 def _sweep_cell(cell: dict, t_end: float, seed: int, data_norm: float) -> dict:
     try:
-        traj, rows = _solve_once("lans", cell["n"], cell["alpha"], cell["nu"],
-                                 cell["dt"], t_end, seed, data_norm)
+        cfg = _solve_config(cell["n"], cell["alpha"], cell["nu"], cell["dt"], t_end)
+        traj, rows = _solve_once("lans", cfg, cell["dt"], t_end, seed, data_norm)
         return {**cell, "status": "ok", "final_l2": rows[-1][1], "final_energy_pair": rows[-1][3],
                 "_final": traj.final.copy()}
     except Exception as err:  # isolation: one bad cell must not sink the rest
@@ -346,9 +363,9 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset CLI options from --config; explicit flags win.  An
-    unreadable file, or a key that names no option of the subcommand, is a
-    usage error."""
+    """Fill unset CLI options from --config; explicit flags win and null
+    values count as unset.  An unreadable file, a key that names no option
+    of the subcommand, or a value its flag would reject is a usage error."""
     if not getattr(args, "config", None):
         return
     try:
@@ -361,10 +378,11 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     unknown = sorted(key for key in config if key.replace("-", "_") not in options)
     if unknown:
         parser.error(f"unknown --config key(s) for {args.command}: {', '.join(unknown)}")
-    for key, value in config.items():
-        attr = key.replace("-", "_")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items() if value is not None]
+    parsed = parser.parse_args([args.command, *flags])
+    for attr in options:
         if getattr(args, attr) is None:
-            setattr(args, attr, value)
+            setattr(args, attr, getattr(parsed, attr))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -75,7 +75,6 @@ __all__ = [
     "solve_lans",
     "solve_mlans",
     "weighted_norm",
-    "e_norm",
 ]
 
 
@@ -134,7 +133,6 @@ class MildSolverConfig:
     dt: float
     weight_index: BesovIndex
     weight_a: float = 0.0
-    quad_rule: str = "trapezoid"  # or "euler"
     picard_tol: float = 1e-9
     picard_max_iters: int = 40
     contraction_target: float = 0.5
@@ -147,8 +145,6 @@ class MildSolverConfig:
             raise ValueError("t_end must be positive")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.quad_rule not in ("trapezoid", "euler"):
-            raise ValueError(f"unknown quadrature rule {self.quad_rule!r}")
         if self.weight_a < 0:
             raise ValueError("weight_a must be nonnegative")
         if self.contraction_target <= 0:
@@ -167,7 +163,9 @@ class MildSolverConfig:
 
 
 def _time_nodes(t_end: float, dt: float) -> np.ndarray:
-    """Equispaced nodes 0, dt, ..., t_end; t_end must be a multiple of dt."""
+    """Equispaced nodes 0, dt, ..., t_end; t_end must be a multiple of dt > 0."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     steps = int(round(t_end / dt))
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
@@ -420,8 +418,8 @@ def duhamel_map(
 
         Phi(u)(t) = exp(nu t Lap) u0 + int_0^t exp(nu (t-s) Lap) N(u(s)) ds
 
-    on the trajectory's time grid.  The integral uses the configured
-    composite rule with the semigroup factor applied exactly per node via
+    on the trajectory's time grid.  The integral uses the composite
+    trapezoid rule with the semigroup factor applied exactly per node via
     the recurrence I_i = E I_(i-1) + increment, E = one-step semigroup;
     the heat flow of u0 follows the same recurrence, H_i = E H_(i-1).
     """
@@ -440,10 +438,7 @@ def duhamel_map(
         heat, coeffs[0] = u0.coeffs, dealias(u0).coeffs
     integral = np.zeros_like(u0.coeffs)
     for i in range(1, len(times)):
-        if mcfg.quad_rule == "trapezoid":
-            integral = step_mult * (integral + 0.5 * dt * n_fields[i - 1].coeffs) + 0.5 * dt * n_fields[i].coeffs
-        else:  # euler: left endpoint
-            integral = step_mult * (integral + dt * n_fields[i - 1].coeffs)
+        integral = step_mult * (integral + 0.5 * dt * n_fields[i - 1].coeffs) + 0.5 * dt * n_fields[i].coeffs
         heat = step_mult * heat
         coeffs[i] = heat + integral
     return Trajectory._adopt(times, grid, coeffs, traj.equation, cfg)
@@ -472,21 +467,6 @@ def weighted_norm(traj: Trajectory, a: float, index: BesovIndex) -> float:
     """sup over stored nodes of t^a * besov_norm(u(t)); the t = 0 node
     participates only when a = 0."""
     return _weighted_sup(traj.times, traj.coeffs, a, index, traj.grid)
-
-
-def e_norm(
-    traj: Trajectory,
-    u0: SpectralField,
-    weight_a: float,
-    weight_index: BesovIndex,
-    nu: float = 1.0,
-) -> float:
-    """Composite iteration norm: sup_t ||u(t) - exp(nu t Lap) u0|| in the
-    base space B^(n/2)_(2,q) plus the weighted sup in the target space."""
-    base = BesovIndex(traj.grid.dim / 2.0, 2.0, weight_index.q)
-    drifts = (c - heat_propagate(u0, t, nu).coeffs for t, c in zip(traj.times, traj.coeffs))
-    drift = _weighted_sup(traj.times, drifts, 0.0, base, traj.grid)
-    return drift + weighted_norm(traj, weight_a, weight_index)
 
 
 def picard_iterate(

@@ -37,12 +37,11 @@ def write_field(path, field: SpectralField, extra: dict | None = None):
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.ascontiguousarray(field.coeffs.astype("<c16")).tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(payload)
+        fh.write(np.ascontiguousarray(field.coeffs, dtype="<c16"))  # the array's own buffer
 
 
 def _typed(value, kind) -> bool:

@@ -18,7 +18,6 @@ import numpy as np
 from .ensembles import as_rng, random_band_limited, shell_field
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
-    SpectralField,
     TorusGrid,
     dealias,
     forward_transform,
@@ -38,7 +37,6 @@ __all__ = [
     "verify_product_estimate",
     "verify_embedding",
     "verify_ladyzhenskaya",
-    "heat_weighted_sup",
     "MIN_FIT_POINTS",
     "R_SQUARED_FLOOR",
 ]
@@ -71,7 +69,6 @@ class ExponentFit:
     min_constant: float | None = None
     seed: int | None = None
     params: dict = dc_field(default_factory=dict)
-    samples: list = dc_field(default_factory=list)
     notes: str = ""
 
     @property
@@ -193,7 +190,6 @@ def verify_bernstein(
         status=status,
         seed=seed if isinstance(seed, int) else None,
         params={"beta": beta, "p": p, "q": q, "n_axis": grid.points_per_axis, "levels": list(levels)},
-        samples=list(zip(xs, ys)),
         notes="coherent bump ensemble" if coherent else "random-phase ensemble",
     )
 
@@ -282,30 +278,8 @@ def verify_heat_smoothing(
         seed=seed if isinstance(seed, int) else None,
         params={"s1": s1, "p1": p1, "s2": s2, "p2": p2, "q": q, "n_axis": grid.points_per_axis,
                 "levels": [int(j) for j in levels], "times": list(map(float, times))},
-        samples=list(zip(log_t.tolist(), log_norm.tolist())),
         notes="coherent shell ladder" if coherent else "random-phase shell ladder",
     )
-
-
-def heat_weighted_sup(
-    f: SpectralField,
-    sigma: float,
-    horizons: list,
-    index: BesovIndex,
-) -> list:
-    """sup over 0 < t < T of t^sigma ||exp(t Lap) f||_B for each horizon T,
-    sampled at 12 geometric times in [T/256, T].
-
-    Monotone in T by construction; for band-limited data it vanishes as
-    T -> 0, the small-time smallness used by fixed-point arguments.
-    """
-    part = build_partition(f.grid)
-    out = []
-    for T in horizons:
-        ts = np.geomspace(T / 256.0, T, 12)
-        vals = [t**sigma * part.besov_norm(heat_propagate(f, t), index) for t in ts]
-        out.append(float(np.max(vals)))
-    return out
 
 
 def _product_hypotheses(s1, p1, s2, p2, p, n):
@@ -380,7 +354,6 @@ def verify_product_estimate(
         status=status,
         seed=seed if isinstance(seed, int) else None,
         params={"s1": s1, "p1": p1, "s2": s2, "p2": p2, "p": p, "q": q, "s": s, "n_axis": grid.points_per_axis},
-        samples=[(float(grid.points_per_axis), float(c_coarse)), (float(2 * grid.points_per_axis), float(c_fine))],
         notes="constant stability under refinement; mixed random/coherent pairs",
     )
 
@@ -460,7 +433,6 @@ def verify_embedding(
         status="pass" if ok else "fail",
         seed=seed if isinstance(seed, int) else None,
         params={**params, "n_axis": grid.points_per_axis},
-        samples=[(float(grid.points_per_axis), float(w_c)), (float(2 * grid.points_per_axis), float(w_f))],
     )
 
 
@@ -514,6 +486,5 @@ def verify_ladyzhenskaya(
         status="pass" if ok else "fail",
         seed=seed if isinstance(seed, int) else None,
         params={"r1": r1, "r2": r2, "theta": theta, "n_axis": grid.points_per_axis},
-        samples=[(0.0, float(single_mode_ratio)), (1.0, float(max(w_c, w_f)))],
         notes="exact Hoelder in k-space: constant 1, single modes are equality cases",
     )

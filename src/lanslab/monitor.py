@@ -35,7 +35,6 @@ from .spectral import (
     l2_norm,
     laplacian_power,
     leray_project,
-    lp_norm,
     sobolev_norm,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "calibrate_gronwall_constant",
     "h2_term_monitor",
     "h2_concentration_slopes",
-    "make_split_config",
     "split_with_report",
     "higher_regularity_trace",
     "bootstrap_consistency",
@@ -70,13 +68,11 @@ class EnergyReport:
 
     times: np.ndarray
     e_pair: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
     bound_ratio: np.ndarray
     extras: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("e_pair", "h2", "h3", "bound_ratio"):
+        for name in ("e_pair", "bound_ratio"):
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
@@ -180,23 +176,15 @@ def gronwall_monitor(
     The background norm uses the inhomogeneous multiplier (1 + |k|^2)
     followed by L^2.  `constant` is the frozen calibrated C; if
     omitted it is fitted on this very run (flagged in extras, such a report
-    must not be used as a pass).  Also traces the sign condition
-    C ||v(t)||_(L^2) - 1 < 0; reported, never enforced.
+    must not be used as a pass).
     """
     _check_aligned(u_traj, v_traj)
     if alpha <= 0:
         raise ValueError("the exponential bound needs alpha > 0")
     times = u_traj.times
     e = np.array([energy_pair(s, alpha) for s in u_traj])
-    h2 = np.array([sobolev_norm(s, 2.0, homogeneous=True) for s in u_traj])
-    h3 = np.array([sobolev_norm(s, 3.0, homogeneous=True) for s in u_traj])
-
-    if v_traj is None:
-        integrand = np.zeros_like(times)
-        v_lp = np.zeros_like(times)
-    else:
-        integrand = np.array([sobolev_norm(s, 2.0, 2.0, homogeneous=False) for s in v_traj])
-        v_lp = np.array([lp_norm(s, 2.0) for s in v_traj])
+    integrand = (np.zeros_like(times) if v_traj is None
+                 else np.array([sobolev_norm(s, 2.0, 2.0, homogeneous=False) for s in v_traj]))
     # cumulative trapezoid rule, accumulated left to right
     increments = 0.5 * np.diff(times) * (integrand[1:] + integrand[:-1])
     accumulated = np.concatenate(([0.0], np.cumsum(increments)))
@@ -209,14 +197,11 @@ def gronwall_monitor(
     return EnergyReport(
         times=times,
         e_pair=e,
-        h2=h2,
-        h3=h3,
         bound_ratio=ratio,
         extras={
             "constant": float(constant),
             "calibrated_in_place": calibrated_here,
             "accumulated_integral": accumulated,
-            "sign_condition": constant * v_lp - 1.0,
         },
     )
 
@@ -391,36 +376,28 @@ class SplitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Parameters of the rough/smooth frequency splitting.
-
-    theta is pinned by the convexity relation 3/p = 3 theta/2 + 3(1-theta)/p_tilde,
-    the exponent balance that places the recombined space between the two
-    component spaces.
-    """
+    """Parameters of the rough/smooth frequency splitting."""
 
     p: float
     p_tilde: float
-    theta: float
     epsilon: float
-    j_cut: int
+    j_cut: int = 1
     q: float = 2.0
 
     def __post_init__(self):
         if not (self.p_tilde > self.p > 2.0):
             raise ValueError(f"need p_tilde > p > 2, got p={self.p}, p_tilde={self.p_tilde}")
-        lhs = 3.0 / self.p
-        rhs = 3.0 * self.theta / 2.0 + 3.0 * (1.0 - self.theta) / self.p_tilde
-        if abs(lhs - rhs) > 1e-12:
-            raise ValueError(f"theta={self.theta} violates the convexity relation ({lhs} vs {rhs})")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.j_cut < 0:
             raise ValueError("j_cut must be nonnegative")
 
-
-def make_split_config(p: float, p_tilde: float, epsilon: float, j_cut: int = 1, q: float = 2.0) -> SplitConfig:
-    theta = (1.0 / p - 1.0 / p_tilde) / (0.5 - 1.0 / p_tilde)
-    return SplitConfig(p=p, p_tilde=p_tilde, theta=theta, epsilon=epsilon, j_cut=j_cut, q=q)
+    @property
+    def theta(self) -> float:
+        """The interpolation weight pinned by the convexity relation
+        3/p = 3 theta/2 + 3(1-theta)/p_tilde, the exponent balance that
+        places the recombined space between the two component spaces."""
+        return (1.0 / self.p - 1.0 / self.p_tilde) / (0.5 - 1.0 / self.p_tilde)
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .dynamics import (
     LansConfig,
     MildSolverConfig,
     PicardDivergenceError,
+    _time_nodes,
     _weighted_sup,
     _weighted_trace,
     picard_iterate,
@@ -33,12 +34,13 @@ from .dynamics import (
 from .ensembles import as_rng, random_solenoidal
 from .littlewood_paley import BesovIndex, build_partition
 from .monitor import (
+    SplitConfig,
     SplitError,
     gronwall_monitor,
     higher_regularity_trace,
-    make_split_config,
     split_with_report,
 )
+from .spectral import TorusGrid
 
 __all__ = ["PipelineConfig", "PipelineReport", "run_pipeline", "make_rough_data"]
 
@@ -57,10 +59,11 @@ class PipelineConfig:
     p > 2 is accepted because the split's convexity relation needs only
     p_tilde > p > 2; for p in (2, 3] a run checks split/recombine
     consistency only, since the global-existence theorem is for p > 3.
+    The run is 3-D only, as the paper's theorem is: the exponents 3/p and
+    B^(3/2) are those of R^3.
     """
 
     n: int = 32
-    dim: int = 3
     alpha: float = 0.1
     nu: float = 1.0
     p: float = 6.0
@@ -71,18 +74,24 @@ class PipelineConfig:
     steps: int = 32
     seed: int = 0
     data_scale: float = 1e-2
-    j_cut: int = 1
     gate_contraction_target: float = 0.5
 
     def __post_init__(self):
         if self.p <= 2.0:
             raise ValueError(f"base integrability must exceed 2, got p={self.p}")
-        if self.steps % 8 != 0:
-            raise ValueError("steps must be a multiple of 8 so the gate grid nests")
+        if self.steps <= 0 or self.steps % 8 != 0:
+            raise ValueError("steps must be a positive multiple of 8 so the gate grid nests")
+        _time_nodes(self.t_end, self.dt)
+        self.configs()  # a bad grid, alpha, nu, p_tilde or epsilon raises here, before any work
 
     @property
     def dt(self) -> float:
         return self.t_end / self.steps
+
+    def configs(self) -> tuple:
+        """(LansConfig, SplitConfig) of the run; the split scans cut levels from 1 up."""
+        cfg = LansConfig(grid=TorusGrid(dim=3, points_per_axis=self.n), alpha=self.alpha, nu=self.nu)
+        return cfg, SplitConfig(self.p, self.p_tilde, self.epsilon, q=self.q)
 
 
 @dataclass
@@ -133,16 +142,13 @@ def make_rough_data(grid, seed: int, scale: float, q: float = 2.0):
 
 
 def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
-    from .spectral import TorusGrid
-
-    grid = TorusGrid(dim=pcfg.dim, points_per_axis=pcfg.n)
-    cfg = LansConfig(grid=grid, alpha=pcfg.alpha, nu=pcfg.nu)
-    config_dump = {k: getattr(pcfg, k) for k in (*CLI_KEYS, "dim", "j_cut")}
+    cfg, scfg = pcfg.configs()
+    grid = cfg.grid
+    config_dump = {**{k: getattr(pcfg, k) for k in CLI_KEYS}, "dim": grid.dim, "j_cut": scfg.j_cut}
 
     if w0 is None:
         w0 = make_rough_data(grid, pcfg.seed, pcfg.data_scale, pcfg.q)
 
-    scfg = make_split_config(pcfg.p, pcfg.p_tilde, pcfg.epsilon, pcfg.j_cut, pcfg.q)
     try:
         split = split_with_report(w0, scfg)
     except SplitError as err:

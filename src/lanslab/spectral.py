@@ -59,7 +59,6 @@ __all__ = [
     "l2_norm",
     "l2_inner",
     "sobolev_norm",
-    "zero_field",
     "relative_divergence",
     "require_solenoidal",
 ]
@@ -273,11 +272,6 @@ class SpectralField:
 def _check_same_grid(a: SpectralField, b: SpectralField):
     if a.grid != b.grid:
         raise GridMismatchError("fields live on different grids")
-
-
-def zero_field(grid: TorusGrid, rank: int = 1) -> SpectralField:
-    lead = (grid.dim,) * rank
-    return SpectralField(grid, np.zeros(lead + grid.shape, dtype=np.complex128))
 
 
 def _axes(a: np.ndarray, grid: TorusGrid) -> tuple:

@@ -1,4 +1,5 @@
-"""Shared fixtures: small grids and their dyadic partitions.
+"""Shared fixtures: small grids and their dyadic partitions, plus the
+zero_field helper.
 
 Session scope keeps the FFT plans and multiplier stacks warm; every test
 that mutates a field works on copies, so sharing is safe.  Property tests
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lanslab import TorusGrid, build_partition
+from lanslab import SpectralField, TorusGrid, build_partition
 
 settings.register_profile("lanslab", derandomize=True, deadline=None, max_examples=25, database=None)
 settings.load_profile("lanslab")
@@ -49,3 +50,8 @@ def part32(grid32):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def zero_field(grid: TorusGrid, rank: int = 1) -> SpectralField:
+    """The zero field of the given tensor rank on the grid."""
+    return SpectralField(grid, np.zeros((grid.dim,) * rank + grid.shape, dtype=np.complex128))

@@ -104,6 +104,13 @@ class TestConfigFile:
         out = tmp_path / "o"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
 
+    def test_null_value_leaves_option_unset(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"suite": "partition", "n": 16, "seed": None}))
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_report(out / "verify.json")["seed"] == 0
+
 
 class TestSolve:
     def test_artifacts_and_exit_code(self, tmp_path):
@@ -191,6 +198,55 @@ class TestPipeline:
             "n": 32, "alpha": 0.1, "nu": 1.0, "p": 6.0, "p_tilde": 30.0, "q": 2.0,
             "epsilon": 1e-3, "t_end": 0.05, "steps": 32, "seed": 0, "data_scale": 0.01,
             "out": "lanslab-out"}
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+BAD_VALUES = [
+    ["solve", "--n", "12"],
+    ["solve", "--dt", "0"],
+    ["solve", "--alpha", "-1"],
+    ["pipeline", "--steps", "30"],
+    ["pipeline", "--p", "2"],
+    ["pipeline", "--epsilon", "0"],
+    ["pipeline", "--p-tilde", "5"],
+    ["verify", "--suite", "all", "--n", "12"],
+]
+
+BAD_CONFIGS = [(command, text, "--n") for command in ("solve", "pipeline", "verify")
+               for text in ("n = 16.0\n", '{"n": "abc"}')] + [("solve", "equation = euler\n", "--equation")]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", BAD_VALUES, ids=" ".join)
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert exit_code([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(argv[0] + ": ")
+        assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("command, text, flag", BAD_CONFIGS)
+    def test_config_value_is_parsed_like_its_flag(self, tmp_path, capsys, command, text, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert exit_code([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {flag}: invalid" in err
+        assert not out.exists()
+
+    def test_coarse_valid_grid_stays_inconclusive(self, tmp_path):
+        # 8^3 is a grid, just too coarse for a partition: not a usage error
+        assert main(["verify", "--suite", "partition", "--n", "8", "--out", str(tmp_path / "o")]) == 3
 
 
 def test_version_flag():

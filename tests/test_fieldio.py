@@ -73,6 +73,40 @@ class TestBinaryRoundTrip:
             read_field(path)
 
 
+def copying_checkpoint(field, extra=None) -> bytes:
+    """The checkpoint as the writer once built it, through two copies of
+    the coefficients (astype, then tobytes): the byte reference."""
+    g = field.grid
+    header = {"dim": g.dim, "points_per_axis": g.points_per_axis, "box_length": g.box_length,
+              "dealias_fraction": g.dealias_fraction, "shape": list(field.coeffs.shape)}
+    if extra:
+        header["extra"] = extra
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = np.ascontiguousarray(field.coeffs.astype("<c16")).tobytes()
+    return MAGIC + struct.pack("<I", len(blob)) + blob + payload
+
+
+class TestCheckpointWriter:
+    @pytest.mark.parametrize("n, rank", [(n, rank) for n in (8, 16) for rank in (0, 1, 2)])
+    def test_bytes_match_copying_writer(self, tmp_path, n, rank):
+        grid = TorusGrid(dim=3, points_per_axis=n)
+        field = forward_transform(np.random.default_rng(n + rank).standard_normal((3,) * rank + grid.shape), grid)
+        path = tmp_path / "f.field"
+        write_field(path, field, extra={"t": 0.5})
+        assert path.read_bytes() == copying_checkpoint(field, extra={"t": 0.5})
+
+    def test_traced_peak_below_one_copy(self, tmp_path, grid32):
+        # 1.5 MB of coefficients are written from the array's own buffer
+        field = forward_transform(np.random.default_rng(8).standard_normal((3,) + grid32.shape), grid32)
+        tracemalloc.start()
+        try:
+            write_field(tmp_path / "u.field", field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.coeffs.nbytes > 1_000_000 > peak
+
+
 CSV_CASES = [(dim, n, rank) for dim in (2, 3) for n in (8, 16) for rank in (0, 1, 2)]
 
 

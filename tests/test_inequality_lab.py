@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from lanslab import (
-    BesovIndex,
     HypothesisViolation,
     TorusGrid,
-    heat_weighted_sup,
-    random_band_limited,
     verify_bernstein,
     verify_embedding,
     verify_heat_smoothing,
@@ -69,13 +66,6 @@ class TestHeatSmoothing:
         # shell 2 tops out at 8, the covered ball at N = 32 stops at 4
         with pytest.raises(ValueError):
             verify_heat_smoothing(0.5, 2.0, 1.5, 2.0, grid=grid32, levels=[2])
-
-    def test_weighted_sup_monotone_and_vanishing(self, grid16, rng):
-        f = random_band_limited(grid16, rng, 1.0, 4.0)
-        idx = BesovIndex(2.5, 2.0, 2.0)
-        sups = heat_weighted_sup(f, 0.5, [1e-6, 1e-4, 1e-2, 1.0], idx)
-        assert all(a <= b * (1 + 1e-12) for a, b in zip(sups, sups[1:]))
-        assert sups[0] <= 1e-2 * sups[-1]
 
 
 class TestProductEstimate:

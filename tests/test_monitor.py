@@ -23,14 +23,13 @@ from lanslab import (
     h2_term_monitor,
     higher_regularity_trace,
     l2_norm,
-    make_split_config,
     random_solenoidal,
     sobolev_norm,
     solve_lans,
     solve_mlans,
     split_with_report,
-    zero_field,
 )
+from conftest import zero_field
 
 VOLUME_3D = (2.0 * np.pi) ** 3
 
@@ -189,7 +188,7 @@ class TestH2Terms:
 class TestSplit:
     def test_exact_and_small_tail(self, grid32, rng):
         w0 = random_solenoidal(grid32, rng, k_min=1.0, k_max=4.0) * 0.001
-        scfg = make_split_config(6.0, 30.0, 1e-3)
+        scfg = SplitConfig(6.0, 30.0, 1e-3)
         res = split_with_report(w0, scfg)
         low, tail = res.low, res.tail
         assert l2_norm((low + tail) - w0) <= 1e-14 * l2_norm(w0)
@@ -197,28 +196,26 @@ class TestSplit:
 
     def test_scan_is_monotone(self, grid32, rng):
         w0 = random_solenoidal(grid32, rng, k_min=1.0, k_max=8.0)
-        scfg = make_split_config(6.0, 30.0, 1e9, j_cut=0)
+        scfg = SplitConfig(6.0, 30.0, 1e9, j_cut=0)
         res = split_with_report(w0, scfg)
         norms = [v for _, v in res.tail_norms_scanned]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
 
     def test_unreachable_tolerance_reports_minimum(self, grid32, rng):
         w0 = random_solenoidal(grid32, rng, k_min=1.0, k_max=8.0)
-        scfg = make_split_config(6.0, 30.0, 1e-30)
+        scfg = SplitConfig(6.0, 30.0, 1e-30)
         with pytest.raises(SplitError) as err:
             split_with_report(w0, scfg)
         assert err.value.achievable > 0.0
         assert "unreachable" in str(err.value)
 
     def test_convexity_relation_enforced(self):
-        good = make_split_config(6.0, 30.0, 1e-3)
+        good = SplitConfig(6.0, 30.0, 1e-3)
         assert good.theta == pytest.approx(
             (1.0 / 6.0 - 1.0 / 30.0) / (0.5 - 1.0 / 30.0), rel=1e-12
         )
         with pytest.raises(ValueError):
-            SplitConfig(p=6.0, p_tilde=30.0, theta=0.5, epsilon=1e-3, j_cut=1)
-        with pytest.raises(ValueError):
-            make_split_config(2.0, 30.0, 1e-3)  # needs p > 2
+            SplitConfig(2.0, 30.0, 1e-3)  # needs p > 2
 
 
 class TestTraceAndBootstrap:

@@ -33,9 +33,9 @@ from lanslab import (
     require_solenoidal,
     reynolds_stress,
     sobolev_norm,
-    zero_field,
 )
 from lanslab.dynamics import _flux
+from conftest import zero_field
 
 # volume of the unit torus [0, 2pi)^3; sqrt of it is the L2 norm of f == 1
 VOLUME_3D = (2.0 * np.pi) ** 3
