@@ -34,7 +34,7 @@ from .littlewood_paley import BesovIndex, build_partition
 from .monitor import cancellation_check, energy_pair
 from .pipeline import CLI_KEYS, PipelineConfig, run_pipeline
 from .reporting import manifest_hash, write_csv_trace, write_json_report
-from .spectral import TorusGrid, dealias, forward_transform, gradient, inverse_transform, l2_norm
+from .spectral import TorusGrid, _forward_band, forward_transform, gradient, inverse_transform, l2_norm
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -88,7 +88,7 @@ def _suite_paraproduct(n: int, seed: int, pairs: int = 5) -> list:
     for _ in range(pairs):
         f = random_band_limited(grid, rng, k_min=0.0, k_max=k_hi, zero_mean=False)
         g = random_band_limited(grid, rng, k_min=0.0, k_max=k_hi, zero_mean=False)
-        product = dealias(forward_transform(inverse_transform(f) * inverse_transform(g), grid))
+        product = _forward_band(inverse_transform(f) * inverse_transform(g), grid, grid.dealias_keep)
         resid = part.paraproduct_split(f, g).total() - product
         worst = max(worst, l2_norm(resid) / max(l2_norm(product), 1e-300))
     return [{
@@ -286,8 +286,12 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _parse_grid_list(text: str, cast) -> list:
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _parse_grid_list(flag: str, text: str, cast) -> list:
+    """The values of one comma-separated sweep list; ValueError names the flag."""
+    try:
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of {cast.__name__}s, got {text!r}") from None
 
 
 def _sweep_cell(cell: dict, t_end: float, seed: int, data_norm: float) -> dict:
@@ -301,10 +305,13 @@ def _sweep_cell(cell: dict, t_end: float, seed: int, data_norm: float) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    alphas = _parse_grid_list(args.alpha, float)
-    nus = _parse_grid_list(args.nu, float)
-    ns = _parse_grid_list(args.n, int)
-    dts = _parse_grid_list(args.dt, float)
+    try:
+        alphas = _parse_grid_list("--alpha", args.alpha, float)
+        nus = _parse_grid_list("--nu", args.nu, float)
+        ns = _parse_grid_list("--n", args.n, int)
+        dts = _parse_grid_list("--dt", args.dt, float)
+    except ValueError as err:
+        return _usage_error("sweep", err)
     cells = [{"alpha": a, "nu": nu, "n": n, "dt": dt}
              for a in alphas for nu in nus for n in ns for dt in dts]
     if not cells:

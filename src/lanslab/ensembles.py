@@ -26,8 +26,9 @@ from .littlewood_paley import _default_j_max
 from .spectral import (
     SpectralField,
     TorusGrid,
+    _ball_band,
+    _forward_band,
     dealias,
-    forward_transform,
     leray_project,
 )
 
@@ -59,10 +60,12 @@ def band_mask(grid: TorusGrid, k_min: float, k_max: float) -> np.ndarray:
     return (r >= k_min) & (r <= k_max)
 
 
-def _hermitian_noise(grid: TorusGrid, rng: np.random.Generator, lead: tuple) -> np.ndarray:
-    """Coefficients of white physical noise; Hermitian by construction."""
+def _hermitian_noise(grid: TorusGrid, rng: np.random.Generator, lead: tuple, radius: float) -> np.ndarray:
+    """Coefficients of white physical noise, Hermitian by construction, cut
+    to the cube of the ball |k| <= radius: callers multiply by a mask
+    inside that ball next, so only the cube is transformed."""
     samples = rng.standard_normal(lead + grid.shape)
-    return forward_transform(samples, grid).coeffs
+    return _forward_band(samples, grid, _ball_band(grid, radius)).coeffs
 
 
 def _coherent_phases(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
@@ -111,7 +114,7 @@ def random_band_limited(
             comp_scale = 1.0 + 0.1 * np.arange(int(np.prod(lead)))
             coeffs *= comp_scale.reshape(lead + (1,) * grid.dim)
     else:
-        coeffs = _hermitian_noise(grid, rng, lead) * mask
+        coeffs = _hermitian_noise(grid, rng, lead, k_max) * mask
     if decay != 0.0:
         r = grid.k_magnitude.copy()
         r[r == 0.0] = 1.0
@@ -159,7 +162,8 @@ def shell_field(
         coeffs = _coherent_phases(grid, rng) * envelope
         coeffs = np.broadcast_to(coeffs, lead + grid.shape).copy()
     else:
-        coeffs = _hermitian_noise(grid, rng, lead) * envelope
+        # the envelope lives on |k| < hi, the ball just inside |k| <= hi
+        coeffs = _hermitian_noise(grid, rng, lead, np.nextafter(hi, 0.0)) * envelope
     return SpectralField(grid, coeffs)
 
 

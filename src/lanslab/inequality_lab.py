@@ -19,10 +19,12 @@ from .ensembles import as_rng, random_band_limited, shell_field
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     TorusGrid,
-    dealias,
+    _ball_band,
+    _cube,
+    _forward_band,
+    _irfft,
     forward_transform,
     heat_propagate,
-    inverse_transform,
     l2_norm,
     laplacian_power,
     lp_norm,
@@ -298,13 +300,16 @@ def _product_hypotheses(s1, p1, s2, p2, p, n):
 def _max_product_ratio(grid, s1, p1, s2, p2, p, q, s, pairs, rng) -> float:
     part = build_partition(grid)
     k_hi = 0.95 * 2.0**part.j_max
+    # f and g live on the cube of their band, the product on the dealias cube
+    band = _ball_band(grid, k_hi)
+    physical = lambda h: _irfft(_cube(h.coeffs, band, grid.dim), grid, band)
     i1, i2, ip = BesovIndex(s1, p1, q), BesovIndex(s2, p2, q), BesovIndex(s, p, q)
     worst = 0.0
     for m in range(pairs):
         coh = m % 2 == 1
         f = random_band_limited(grid, rng, k_min=1.0, k_max=k_hi, coherent=coh)
         g = random_band_limited(grid, rng, k_min=1.0, k_max=k_hi, coherent=coh)
-        prod = dealias(forward_transform(inverse_transform(f) * inverse_transform(g), grid))
+        prod = _forward_band(physical(f) * physical(g), grid, grid.dealias_keep)
         den = part.besov_norm(f, i1) * part.besov_norm(g, i2)
         if den == 0.0:
             continue

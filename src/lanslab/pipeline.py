@@ -32,7 +32,7 @@ from .dynamics import (
     solve_mlans,
 )
 from .ensembles import as_rng, random_solenoidal
-from .littlewood_paley import BesovIndex, build_partition
+from .littlewood_paley import BesovIndex, _partition_depth, build_partition
 from .monitor import (
     SplitConfig,
     SplitError,
@@ -82,7 +82,11 @@ class PipelineConfig:
         if self.steps <= 0 or self.steps % 8 != 0:
             raise ValueError("steps must be a positive multiple of 8 so the gate grid nests")
         _time_nodes(self.t_end, self.dt)
-        self.configs()  # a bad grid, alpha, nu, p_tilde or epsilon raises here, before any work
+        # a bad q, grid, alpha, nu, p_tilde or epsilon, or a grid too coarse
+        # for the split's dyadic partition, raises here, before any work
+        BesovIndex(3.0 / self.p, self.p, self.q)
+        cfg, _ = self.configs()
+        _partition_depth(cfg.grid)
 
     @property
     def dt(self) -> float:

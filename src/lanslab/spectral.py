@@ -14,6 +14,14 @@ followed by Hermitian completion, inverse_transform one irfftn of the half
 lattice.  The private helpers _rfft, _irfft and _full are the package's
 only FFT call sites.
 
+Band mode: given a band K < N/2, _rfft and _irfft transform only the cube
+|m_i| <= K, skipping the FFT lines that are zero on input or thrown away
+on output (FFT pruning; Markel 1971, Sorensen & Burrus 1993), and equal
+truncate-then-transform bit for bit.  _forward_band(x, grid,
+grid.dealias_keep) is dealias(forward_transform(x, grid)) made that way.
+The Besov block norms, the verifiers' products and the band-limited
+ensembles use the band mode.
+
 Nyquist policy: on the full lattice the index N/2 of an axis is the
 frequency -N/2, whose mirror image is itself, so the odd multiplier i k
 cannot keep Hermitian symmetry there.  TorusGrid.wavenumbers, the one list
@@ -283,15 +291,99 @@ def _half(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return coeffs[..., : grid.points_per_axis // 2 + 1]
 
 
-def _rfft(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Real samples -> half-lattice coefficients (series normalization)."""
-    return np.fft.rfftn(samples, axes=_axes(samples, grid), norm="forward")
+@lru_cache(maxsize=64)
+def _band_axis(n: int, band: int) -> np.ndarray:
+    """Indices of the modes |m| <= band on an FFT-ordered axis of side n."""
+    return _frozen(np.r_[0 : band + 1, n - band : n])
 
 
-def _irfft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Real samples of the Hermitian spectrum whose half lattice coeffs holds."""
-    half = _half(coeffs, grid)
-    return np.fft.irfftn(half, s=grid.shape, axes=_axes(half, grid), norm="forward")
+@lru_cache(maxsize=64)
+def _cube_index(n: int, band: int, dim: int, half: bool = False) -> tuple:
+    """Open-mesh index of the cube |m_i| <= band in an array whose trailing
+    dim axes are FFT-ordered with side n; half=True keeps m_last >= 0."""
+    axis = _band_axis(n, band)
+    return tuple(_frozen(a) for a in np.ix_(*([axis] * (dim - 1)), axis[: band + 1] if half else axis))
+
+
+def _ball_band(grid: TorusGrid, radius: float) -> int:
+    """Smallest band whose cube holds the lattice ball |k| <= radius: |k|
+    is at least each |k_i|, so this is the largest m with m 2 pi / L <= radius."""
+    m = np.arange(grid.points_per_axis // 2 + 1) * grid.wavenumber_scale
+    return max(int(np.count_nonzero(m <= radius)) - 1, 0)
+
+
+def _cube(a: np.ndarray, band: int, dim: int) -> np.ndarray:
+    """The cube |m_i| <= band of a lattice or larger cube array (a copy),
+    FFT-ordered with side 2 band + 1 on every trailing axis."""
+    return a[(...,) + _cube_index(a.shape[-1], band, dim)]
+
+
+def _uncube(cube: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
+    """The lattice array that holds a full cube |m_i| <= band and is zero elsewhere."""
+    out = np.zeros(cube.shape[: -grid.dim] + grid.shape, dtype=cube.dtype)
+    out[(...,) + _cube_index(grid.points_per_axis, band, grid.dim)] = cube
+    return out
+
+
+def _cube_k_magnitude(grid: TorusGrid, band: int) -> np.ndarray:
+    """|k| on the cube |m_i| <= band, formed as grid.k_magnitude forms it,
+    so it equals the lattice array cut to the cube bit for bit."""
+    n = grid.points_per_axis
+    axis = np.fft.fftfreq(n, d=1.0 / n)[_band_axis(n, band)]
+    modes = np.meshgrid(*([axis] * grid.dim), indexing="ij", sparse=True)
+    return np.sqrt(sum((m * grid.wavenumber_scale) ** 2 for m in modes))
+
+
+def _support_band(a: np.ndarray, dim: int) -> int:
+    """Smallest band whose cube holds every nonzero of a lattice or cube array."""
+    coords = np.nonzero(np.any(a != 0, axis=tuple(range(a.ndim - dim))))
+    # index i of an FFT-ordered axis of side n is the mode of magnitude min(i, n - i)
+    return max((int(np.max(np.minimum(c, n - c))) for c, n in zip(coords, a.shape[-dim:]) if c.size), default=0)
+
+
+def _spread(a: np.ndarray, axis: int, n: int, band: int) -> np.ndarray:
+    """Zero-fill one FFT-ordered cube axis (side 2 band + 1) to the lattice side n."""
+    out = np.zeros(a.shape[:axis] + (n,) + a.shape[axis + 1 :], dtype=a.dtype)
+    out[(slice(None),) * axis + (_band_axis(n, band),)] = a
+    return out
+
+
+def _rfft(samples: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.ndarray:
+    """Real samples -> half-lattice coefficients (series normalization).
+
+    With a band K < N/2 only the half cube |m_i| <= K, 0 <= m_last <= K is
+    made (FFT order, side 2K + 1 and K + 1 on the last axis): rfft on the
+    last axis, then fft on the other axes from the last to the first over
+    the lines that survive, numpy's rfftn order.  It equals the rfftn half
+    lattice cut to the cube bit for bit.
+    """
+    axes = _axes(samples, grid)
+    n = grid.points_per_axis
+    if band is None or band >= n // 2:
+        return np.fft.rfftn(samples, axes=axes, norm="forward")
+    a = np.fft.rfft(samples, axis=-1, norm="forward")[..., : band + 1]
+    for axis in reversed(axes[:-1]):
+        a = np.take(np.fft.fft(a, axis=axis, norm="forward"), _band_axis(n, band), axis=axis)
+    return a
+
+
+def _irfft(coeffs: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.ndarray:
+    """Real samples of the Hermitian spectrum whose half lattice coeffs holds.
+
+    With a band K < N/2, coeffs is a cube (the half cube of _rfft or a full
+    cube of _cube) and only its half cube is read: ifft on the leading axes
+    in order, each over the lines that are not zero, then one irfft on the
+    last axis, numpy's irfftn order.  It equals irfftn of the cube's
+    zero-filled lattice bit for bit.
+    """
+    n = grid.points_per_axis
+    if band is None or band >= n // 2:
+        half = _half(coeffs, grid)
+        return np.fft.irfftn(half, s=grid.shape, axes=_axes(half, grid), norm="forward")
+    a = coeffs[..., : band + 1]
+    for axis in _axes(a, grid)[:-1]:
+        a = np.fft.ifft(_spread(a, axis, n, band), axis=axis, norm="forward")
+    return np.fft.irfft(a, n=n, axis=-1, norm="forward")
 
 
 # (destination, source) slices mapping lattice index i to (-i) mod N
@@ -305,24 +397,35 @@ def _conj_mirror(src: np.ndarray, out: np.ndarray, grid: TorusGrid, last: tuple)
         np.conjugate(src[(...,) + tuple(p[1] for p in picks)], out=out[(...,) + tuple(p[0] for p in picks)])
 
 
-def _full(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Hermitian completion of half-lattice coefficients to the full lattice.
+def _full(half: np.ndarray, grid: TorusGrid, n: int | None = None) -> np.ndarray:
+    """Hermitian completion of half-lattice coefficients to the full lattice,
+    or of a half cube to the full cube of odd side n.
 
     The self-mirrored planes k_last = 0 and N/2 keep their Hermitian part
     (c(k) + conj c(-k))/2, the rest is the conjugate mirror image, so the
     output satisfies c(-k) == conj c(k) bit for bit.
     """
-    n = grid.points_per_axis
+    n = grid.points_per_axis if n is None else n
     out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
     out[..., : n // 2 + 1] = half
-    for m in (0, n // 2):
+    for m in (0, n // 2) if n % 2 == 0 else (0,):
         plane = out[..., m : m + 1]
         mirror = np.empty_like(plane)
         _conj_mirror(half, mirror, grid, ((slice(None), slice(m, m + 1)),))
         plane += mirror
         plane *= 0.5
-    _conj_mirror(half, out[..., n // 2 + 1 :], grid, ((slice(None), slice(n // 2 - 1, 0, -1)),))
+    _conj_mirror(half, out[..., n // 2 + 1 :], grid, ((slice(None), slice((n - 1) // 2, 0, -1)),))
     return out
+
+
+def _forward_band(samples: np.ndarray, grid: TorusGrid, band: int) -> SpectralField:
+    """forward_transform with every mode outside the cube |m_i| <= band
+    zeroed, transforming and completing only the cube; band = dealias_keep
+    gives dealias(forward_transform(samples, grid))."""
+    n = grid.points_per_axis
+    if band >= n // 2:
+        return forward_transform(samples, grid)
+    return SpectralField(grid, _uncube(_full(_rfft(samples, grid, band), grid, 2 * band + 1), grid, band))
 
 
 def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
@@ -452,10 +555,15 @@ def lp_norm(field: SpectralField, p: float) -> float:
     """
     if p != np.inf and p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
-    mag = _pointwise_magnitude(inverse_transform(field), field.rank)
+    return _lp_quadrature(inverse_transform(field), field.rank, field.grid, p)
+
+
+def _lp_quadrature(samples: np.ndarray, rank: int, grid: TorusGrid, p: float) -> float:
+    """L^p norm of physical samples of a rank-`rank` field by equal-weight quadrature."""
+    mag = _pointwise_magnitude(samples, rank)
     if p == np.inf:
         return float(np.max(mag))
-    return float((np.sum(mag**p) * field.grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
 
 
 def l2_norm(field: SpectralField) -> float:

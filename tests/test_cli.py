@@ -216,6 +216,10 @@ BAD_VALUES = [
     ["pipeline", "--p", "2"],
     ["pipeline", "--epsilon", "0"],
     ["pipeline", "--p-tilde", "5"],
+    ["pipeline", "--q", "0"],
+    ["pipeline", "--n", "8"],
+    ["sweep", "--alpha", "abc"],
+    ["sweep", "--n", "16.5"],
     ["verify", "--suite", "all", "--n", "12"],
 ]
 
@@ -242,6 +246,16 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"argument {flag}: invalid" in err
+        assert not out.exists()
+
+    def test_sweep_config_list_is_usage_error(self, tmp_path, capsys):
+        # sweep lists are comma-separated strings, not JSON lists
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"alpha": [0.1, 0.2]}')
+        out = tmp_path / "o"
+        assert exit_code(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["sweep: --alpha must be a comma-separated list of floats, got '[0.1, 0.2]'"]
         assert not out.exists()
 
     def test_coarse_valid_grid_stays_inconclusive(self, tmp_path):

@@ -2,12 +2,15 @@
 Besov norms with closed-form oracles, Bony splitting, kernels.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lanslab import (
     BesovIndex,
     DyadicPartition,
+    SpectralField,
     TorusGrid,
     build_partition,
     dealias,
@@ -17,6 +20,7 @@ from lanslab import (
     random_band_limited,
 )
 from lanslab.littlewood_paley import smooth_lowpass_profile
+from lanslab.spectral import _cube_index, _support_band
 
 VOLUME_3D = (2.0 * np.pi) ** 3
 COS_NORM = np.sqrt(VOLUME_3D / 2.0)  # L2 norm of a single cosine mode
@@ -199,3 +203,62 @@ class TestKernels:
         a = lp_norm(part64.kernel(2), np.inf)
         b = lp_norm(part64.kernel(3), np.inf)
         assert b / a == pytest.approx(8.0, rel=0.05)
+
+
+ORACLE_GRIDS = [TorusGrid(2, 32), TorusGrid(3, 16), TorusGrid(3, 32), TorusGrid(3, 32, box_length=5.0)]
+
+
+class TestCubeStorage:
+    """Block norms come from each shell's bounding cube; the dense rule
+    lp_norm(SpectralField(grid, f.coeffs * multipliers[j]), p) is the oracle."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=str)
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_block_norms_match_the_dense_rule(self, grid, rank, rng):
+        part = build_partition(grid)
+        lead = (grid.dim,) * rank
+        f = forward_transform(rng.standard_normal(lead + grid.shape), grid)
+        dense = lambda j, p: lp_norm(SpectralField(grid, f.coeffs * part.multipliers[j]), p)
+        for p in (1.0, 3.0, 4.0, 6.0, np.inf):
+            got = part.block_lp_norms(f, p)
+            assert got.tolist() == [dense(j, p) for j in range(part.j_max + 1)], f"p={p}"
+        want = [dense(j, 2.0) for j in range(part.j_max + 1)]
+        np.testing.assert_allclose(part.block_lp_norms(f, 2.0), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=str)
+    def test_cubes_are_the_tight_support_boxes(self, grid):
+        part = build_partition(grid)
+        for j, band in enumerate(part.bands):
+            dense = part.multipliers[j]
+            outside = np.ones(grid.shape, dtype=bool)
+            outside[_cube_index(grid.points_per_axis, band, grid.dim)] = False
+            assert not np.any(dense[outside]), f"j={j}"
+            assert _support_band(dense, grid.dim) == band, f"j={j}"
+
+    def test_block_paths_read_no_dense_stack(self, part32, grid32, rng):
+        part = DyadicPartition(grid32, part32.j_max)
+        f = random_band_limited(grid32, rng, 1.0, 4.0, lead=(3,))
+        part.besov_norm(f, BesovIndex(1.0, 2.0, 2.0))
+        part.besov_norm(f, BesovIndex(1.0, 4.0, 2.0))
+        part.paraproduct_split(SpectralField(grid32, f.coeffs[0]), SpectralField(grid32, f.coeffs[1]))
+        part.decompose(f)
+        assert "multipliers" not in vars(part)
+
+    def test_128_partition_is_cube_sized(self):
+        # the dense stack of a 128^3 partition is 84 MB; its cubes are 2.5 MB
+        grid = TorusGrid(3, 128)
+        coeffs = np.zeros(grid.shape, dtype=np.complex128)
+        coeffs[4, 0, 0] = coeffs[-4, 0, 0] = 0.5  # cos(4 x1) lies in shell 2 alone
+        f = SpectralField(grid, coeffs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            part = DyadicPartition(grid, 4)
+            p2 = part.besov_norm(f, BesovIndex(0.0, 2.0, 2.0))
+            p4 = part.besov_norm(f, BesovIndex(0.0, 4.0, 2.0))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 4 * 2**20
+        assert p2 == pytest.approx(COS_NORM, rel=1e-12)
+        assert p4 == pytest.approx((3.0 / 8.0 * VOLUME_3D) ** 0.25, rel=1e-12)  # mean of cos^4 is 3/8

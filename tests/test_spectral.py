@@ -35,6 +35,7 @@ from lanslab import (
     sobolev_norm,
 )
 from lanslab.dynamics import _flux
+from lanslab.spectral import _cube, _cube_index, _forward_band, _irfft, _rfft, _support_band
 from conftest import zero_field
 
 # volume of the unit torus [0, 2pi)^3; sqrt of it is the L2 norm of f == 1
@@ -153,6 +154,74 @@ class TestTransformProperties:
         expected = np.fft.ifftn(c, axes=tuple(range(rank, rank + dim))).real * n**dim
         got = inverse_transform(SpectralField(grid, c))
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+BAND_GRIDS = [
+    TorusGrid(dim=2, points_per_axis=8),
+    TorusGrid(dim=2, points_per_axis=32, box_length=3.0),
+    TorusGrid(dim=3, points_per_axis=8),
+    TorusGrid(dim=3, points_per_axis=16),
+    TorusGrid(dim=3, points_per_axis=16, box_length=5.0),
+    TorusGrid(dim=3, points_per_axis=16, dealias_fraction=1.0),
+]
+
+
+def cube_mask(grid, band):
+    """The lattice's cube |m_i| <= band as a boolean mask."""
+    mask = np.ones(grid.shape, dtype=bool)
+    for m in grid.mode_numbers:
+        mask &= np.abs(m) <= band
+    return mask
+
+
+class TestBandTransforms:
+    """The band-limited transforms equal truncate-then-transform (inverse)
+    and transform-then-truncate (forward) bit for bit; a band of N/2 or
+    more is the whole lattice."""
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=str)
+    @given(data=st.data())
+    def test_forward_is_the_truncated_rfftn(self, grid, data):
+        n, dim = grid.points_per_axis, grid.dim
+        rank = data.draw(st.integers(0, 2))
+        band = data.draw(st.integers(0, n // 2 + 1))
+        samples = np.random.default_rng(data.draw(st.integers(0, 2**31))).standard_normal((dim,) * rank + grid.shape)
+        half = _rfft(samples, grid)
+        got = _rfft(samples, grid, band)
+        if band >= n // 2:
+            assert np.array_equal(got, half)
+        else:
+            assert np.array_equal(got, half[(...,) + _cube_index(n, band, dim, half=True)])
+        full = forward_transform(samples, grid).coeffs
+        assert np.array_equal(_forward_band(samples, grid, band).coeffs, full * cube_mask(grid, band))
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=str)
+    @given(data=st.data())
+    def test_inverse_is_the_truncated_irfftn(self, grid, data):
+        n, dim = grid.points_per_axis, grid.dim
+        rank = data.draw(st.integers(0, 2))
+        band = data.draw(st.integers(0, n // 2 + 1))
+        samples = np.random.default_rng(data.draw(st.integers(0, 2**31))).standard_normal((dim,) * rank + grid.shape)
+        full = forward_transform(samples, grid).coeffs
+        if band >= n // 2:
+            assert np.array_equal(_irfft(full, grid, band), _irfft(full, grid))
+            return
+        truncated = np.where(cube_mask(grid, band), full, 0.0)
+        expected = inverse_transform(SpectralField(grid, truncated))
+        assert np.array_equal(_irfft(_cube(full, band, dim), grid, band), expected)
+
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=str)
+    def test_dealias_cube_is_dealias(self, grid, rng):
+        samples = rng.standard_normal((grid.dim,) + grid.shape)
+        expected = dealias(forward_transform(samples, grid)).coeffs
+        assert np.array_equal(_forward_band(samples, grid, grid.dealias_keep).coeffs, expected)
+
+    def test_support_band_is_the_smallest_holding_cube(self, grid16):
+        a = np.zeros((3,) + grid16.shape)
+        assert _support_band(a, 3) == 0
+        a[1, 0, -5, 2] = 1.0
+        assert _support_band(a, 3) == 5
+        assert _support_band(_cube(a, 5, 3), 3) == 5
 
 
 def mean_free(f):
