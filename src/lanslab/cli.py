@@ -34,7 +34,7 @@ from .littlewood_paley import BesovIndex, build_partition
 from .monitor import cancellation_check, energy_pair
 from .pipeline import CLI_KEYS, PipelineConfig, run_pipeline
 from .reporting import manifest_hash, write_csv_trace, write_json_report
-from .spectral import TorusGrid, _forward_band, forward_transform, gradient, inverse_transform, l2_norm
+from .spectral import TorusGrid, _cube, _forward_band, forward_transform, gradient, inverse_transform, l2_norm
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -70,7 +70,8 @@ def _suite_partition(n: int, seed: int) -> list:
     worst = 0.0
     for j in range(part.j_max + 1):
         for l in range(j + 2, part.j_max + 1):
-            worst = max(worst, float(np.max(part.multipliers[j] * part.multipliers[l])))
+            # block j's cube nests in block l's, and the product is 0 outside it
+            worst = max(worst, float(np.max(part.cubes[j] * _cube(part.cubes[l], part.bands[j], grid.dim))))
     records.append({
         "case": "partition:disjointness",
         "measured": {"max_overlap": worst},

@@ -17,14 +17,20 @@ nonlinear term is Leray-projected, which removes exactly the gradient
 component.
 
 The nonlinearity kernel (_flux, reynolds_stress, nonlinear_rhs) works on
-the rfftn half lattice.  Like every reader of the coefficient contract in
-spectral it reads only the half lattice of each input.  It makes real
-transforms only, applies the gradient, dealias, Helmholtz-inverse,
-divergence and Leray multipliers on half-lattice views of the grid's one
-multiplier set, and expands to the full lattice once per returned field,
-so its outputs are exactly Hermitian and equal the full-lattice operators'
-results.  A self term costs 27 real scalar transforms, one with a
-background 48: u's Jacobian is transformed once per call.
+the 2/3-rule dealias cube |m_i| <= K = grid.dealias_keep, m_last >= 0.
+Like every reader of the coefficient contract in spectral it reads only
+the half lattice of each input.  When every input of a call lies in the
+dealias cube (a slab test on the half lattice), its inverse transforms
+read only that half cube; otherwise they read the whole half lattice, so
+any input gives the full-lattice operators' result.  The products' forward
+transforms make only the dealias half cube, which is all the dealias mask
+keeps, and the gradient, Helmholtz-inverse, divergence and Leray
+multipliers act there on arrays built once per grid (spectral._HalfCube).
+Each returned field is completed to the full lattice once, so it is
+exactly Hermitian.  A self term makes 27 real scalar transforms and a
+call with a background 48 (u's Jacobian is transformed once per call);
+pruned (Sorensen & Burrus 1993), at 16^3 they cost the FFT lines of 20.7
+and 36.9 unpruned ones.
 
 A Trajectory stacks its states into one coefficient array, and all norms
 of trajectories are weighted Besov sups of the form sup_t t^a ||u(t)||,
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,9 +52,12 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _check_same_grid,
+    _complete,
     _contract,
-    _full,
-    _half,
+    _cut_half,
+    _frozen,
+    _half_cube,
+    _in_band,
     _irfft,
     _leray,
     _rfft,
@@ -244,35 +253,71 @@ class IterationState:
     ratio: float | None = None
 
 
-def _flux_half(grid: TorusGrid, cu: np.ndarray, cw: np.ndarray | None = None) -> np.ndarray:
-    """Half-lattice coefficients of div of the dealiased symmetric product
-    (u (x) w + w (x) u)/2, given the (full or half) coefficients of u and w;
+class _KernelInput(SpectralField):
+    """A field for the span of one kernel call, with the band its inverse
+    transforms run on: the dealias band K when every input of the call lies
+    in the dealias cube, else N/2, the half lattice.  Its half cube is made
+    on first use; its Def/Rot parts are kept in shared_parts only where
+    two stress calls read them."""
+
+    def __init__(self, field: SpectralField, band: int):
+        super().__init__(field.grid, field.coeffs)
+        self.band = band
+        self.shared_parts = None
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        return _cut_half(self.coeffs, self.grid, self.band)
+
+    def jacobian_parts(self) -> tuple:
+        """Physical Def = (J + J^T)/2 and Rot = (J - J^T)/2, J[i, j] = d_j f_i."""
+        if self.shared_parts is not None:
+            return self.shared_parts
+        wavenumbers = _half_cube(self.grid, self.band).wavenumbers
+        jac = _irfft(np.stack([self.half * (1j * k) for k in wavenumbers], axis=1), self.grid, self.band)
+        jac_t = np.swapaxes(jac, 0, 1)
+        d, r = jac + jac_t, jac - jac_t
+        d *= 0.5
+        r *= 0.5
+        return d, r
+
+
+def _kernel_inputs(u: SpectralField, v: SpectralField | None) -> tuple:
+    """(u, v) as _KernelInputs of one band; v = None stays None and v = u
+    stays u.  The band test reads the slabs outside the dealias cube once."""
+    grid = u.grid
+    fields = [u] if v is None or v is u else [u, v]
+    band = grid.dealias_keep
+    if not all(_in_band(f.coeffs, grid, band) for f in fields):
+        band = grid.points_per_axis // 2
+    ku = _KernelInput(u, band)
+    return ku, (None if v is None else ku if v is u else _KernelInput(v, band))
+
+
+def _flux_half(grid: TorusGrid, cu: np.ndarray, cw: np.ndarray | None, band: int) -> np.ndarray:
+    """Dealias half-cube coefficients of div of the dealiased symmetric
+    product (u (x) w + w (x) u)/2, given the half cubes of band of u and w;
     cw = None means w = u, transformed once.  Only the dim(dim+1)/2
     distinct entries of the symmetric tensor are transformed."""
-    pu = _irfft(cu, grid)
-    pw = pu if cw is None else _irfft(cw, grid)
+    pu = _irfft(cu, grid, band)
+    pw = pu if cw is None else _irfft(cw, grid, band)
     pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
     if cw is None:
         tens = np.stack([pu[i] * pu[j] for i, j in pairs])
     else:
         tens = np.stack([0.5 * (pu[i] * pw[j] + pw[i] * pu[j]) for i, j in pairs])
-    entries = _rfft(tens, grid) * _half(grid.dealias_mask, grid)
+    entries = _rfft(tens, grid, grid.dealias_keep)
     sym = {(i, j): entries[e] for e, (i, j) in enumerate(pairs)}
     rows = [[sym[min(i, j), max(i, j)] for j in range(grid.dim)] for i in range(grid.dim)]
     return _divergence_half(rows, grid)
 
 
-def _half_wavenumbers(grid: TorusGrid) -> list:
-    """Half-lattice views of the grid's odd-multiplier wavenumbers."""
-    return [_half(k, grid) for k in grid.wavenumbers]
-
-
 def _divergence_half(rows, grid: TorusGrid) -> np.ndarray:
-    """(div T)_i = sum_j i k_j T[i][j] on the half lattice, T given by rows."""
-    half_k = _half_wavenumbers(grid)
+    """(div T)_i = sum_j i k_j T[i][j] on the dealias half cube, T given by rows."""
+    wavenumbers = _half_cube(grid, grid.dealias_keep).wavenumbers
     out = np.empty((len(rows),) + rows[0][0].shape, dtype=np.complex128)
     for i, row in enumerate(rows):
-        out[i] = _contract(row, half_k)
+        out[i] = _contract(row, wavenumbers)
     return out
 
 
@@ -281,33 +326,15 @@ def _flux(u: SpectralField, w: SpectralField) -> SpectralField:
     is ((w.grad)u + (u.grad)w)/2 for solenoidal fields.  Symmetric in
     (u, w); when w is u, u is transformed once."""
     _check_same_grid(u, w)
-    return SpectralField(u.grid, _full(_flux_half(u.grid, u.coeffs, None if w is u else w.coeffs), u.grid))
+    u, w = _kernel_inputs(u, w)
+    half = _flux_half(u.grid, u.half, None if w is u else w.half, u.band)
+    return SpectralField(u.grid, _complete(half, u.grid, u.grid.dealias_keep))
 
 
-def _jacobian_parts(coeffs: np.ndarray, grid: TorusGrid) -> tuple:
-    """Physical Def = (J + J^T)/2 and Rot = (J - J^T)/2, J[i, j] = d_j f_i,
-    of the vector field with these (full or half) coefficients."""
-    half = _half(coeffs, grid)
-    jac = _irfft(np.stack([half * (1j * k) for k in _half_wavenumbers(grid)], axis=1), grid)
-    jac_t = np.swapaxes(jac, 0, 1)
-    d, r = jac + jac_t, jac - jac_t
-    d *= 0.5
-    r *= 0.5
-    return d, r
-
-
-class _SharedJacobian(SpectralField):
-    """u for the span of one nonlinear_rhs call: its Def/Rot parts are made
-    on first use and shared by every reynolds_stress call that gets it."""
-
-    @cached_property
-    def jacobian_parts(self) -> tuple:
-        return _jacobian_parts(self.coeffs, self.grid)
-
-
-def _parts(f: SpectralField, grid: TorusGrid) -> tuple:
-    """Def/Rot of f: the shared ones when f carries them, else made afresh."""
-    return f.jacobian_parts if isinstance(f, _SharedJacobian) else _jacobian_parts(f.coeffs, grid)
+@lru_cache(maxsize=8)
+def _stress_multiplier(grid: TorusGrid, alpha: float) -> np.ndarray:
+    """Helmholtz inverse times alpha^2/2 on the dealias half cube, shared per (grid, alpha)."""
+    return _frozen(0.5 * alpha**2 / (1.0 + alpha**2 * _half_cube(grid, grid.dealias_keep).k_squared))
 
 
 def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> SpectralField:
@@ -316,25 +343,30 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
     Stress = (alpha^2/2) (1 - alpha^2 Lap)^(-1) [Def(f) Rot(g) + Def(g) Rot(f)]
     with pointwise matrix products; the result is div of that tensor,
     dealiased.  Symmetric in (f, g); identically zero for alpha = 0.  Each
-    distinct argument costs one inverse transform of its Jacobian, and the
-    multipliers act on the half lattice.
+    distinct argument costs one inverse transform of its Jacobian, pruned
+    to the dealias cube when both arguments lie in it; the tensor's forward
+    transform and the multipliers run on the dealias half cube, and the
+    result is completed to the full lattice.
     """
     grid = cfg.grid
     if f.grid != grid or g.grid != grid:
         raise ValueError("fields must live on the configured grid")
     if cfg.alpha == 0.0:
         return SpectralField(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
-    d_f, r_f = _parts(f, grid)
+    if not (isinstance(f, _KernelInput) and isinstance(g, _KernelInput)):
+        f, g = _kernel_inputs(f, g)
+    d_f, r_f = f.jacobian_parts()
     if g is f:
         prod = np.einsum("im...,mj...->ij...", d_f, r_f)
         prod += prod
     else:
-        d_g, r_g = _parts(g, grid)
+        d_g, r_g = g.jacobian_parts()
         prod = np.einsum("im...,mj...->ij...", d_f, r_g) + np.einsum("im...,mj...->ij...", d_g, r_f)
-    # dealias, Helmholtz inverse and the factor alpha^2/2 as one multiplier
-    helmholtz = 0.5 * cfg.alpha**2 / (1.0 + cfg.alpha**2 * _half(grid.k_squared, grid))
-    mult = _half(grid.dealias_mask, grid) * helmholtz
-    return SpectralField(grid, _full(_divergence_half(_rfft(prod, grid) * mult, grid), grid))
+        del d_g, r_g
+    del d_f, r_f  # parts that no later call shares are freed before the forward transform
+    band = grid.dealias_keep
+    stress = _rfft(prod, grid, band) * _stress_multiplier(grid, cfg.alpha)
+    return SpectralField(grid, _complete(_divergence_half(stress, grid), grid, band))
 
 
 def _viscous(u: SpectralField, cfg: LansConfig) -> SpectralField:
@@ -342,23 +374,28 @@ def _viscous(u: SpectralField, cfg: LansConfig) -> SpectralField:
 
 
 def _nonlinear_half(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> np.ndarray:
-    """Half-lattice coefficients of _nonlinear_terms."""
+    """Dealias half-cube coefficients of _nonlinear_terms."""
     grid = u.grid
+    if v is not None:
+        _check_same_grid(u, v)
+    u, v = _kernel_inputs(u, v)
+
+    def stress(f, g):
+        return _cut_half(reynolds_stress(f, g, cfg).coeffs, grid, grid.dealias_keep)
+
     if v is None:
-        return _flux_half(grid, u.coeffs) + _half(reynolds_stress(u, u, cfg).coeffs, grid)
-    _check_same_grid(u, v)
-    u = _SharedJacobian(grid, u.coeffs)
-    hu = _half(u.coeffs, grid)
-    flux = _flux_half(grid, hu, hu + 2.0 * _half(v.coeffs, grid))
-    self_stress = _half(reynolds_stress(u, u, cfg).coeffs, grid)
-    return flux + self_stress + 2.0 * _half(reynolds_stress(u, v, cfg).coeffs, grid)
+        return _flux_half(grid, u.half, None, u.band) + stress(u, u)
+    flux = _flux_half(grid, u.half, u.half + 2.0 * v.half, u.band)
+    if cfg.alpha != 0.0:
+        u.shared_parts = u.jacobian_parts()
+    return flux + stress(u, u) + 2.0 * stress(u, v)
 
 
 def _nonlinear_terms(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
     """Unprojected div(u(x)u) + div tau(u,u), plus with a background v the
     cross terms div(u(x)v + v(x)u) + 2 div tau(u,v).  The advection part
     is one bilinear flux: u(x)u + u(x)v + v(x)u = sym(u (x) (u + 2v))."""
-    return SpectralField(u.grid, _full(_nonlinear_half(u, cfg, v), u.grid))
+    return SpectralField(u.grid, _complete(_nonlinear_half(u, cfg, v), u.grid, u.grid.dealias_keep))
 
 
 def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
@@ -368,10 +405,12 @@ def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = N
     With a background v the u-v cross terms are added:
     -P[div(u(x)u + u(x)v + v(x)u) + div tau(u,u) + 2 div tau(u,v)].
     No pure v-v terms appear in either case.  The terms are summed and
-    projected on the half lattice and expanded to the full lattice once.
+    projected on the dealias half cube and completed to the full lattice
+    once.
     """
-    projected = _leray(_nonlinear_half(u, cfg, v), u.grid)
-    return SpectralField(u.grid, _full(-projected, u.grid))
+    band = u.grid.dealias_keep
+    projected = _leray(_nonlinear_half(u, cfg, v), u.grid, band)
+    return SpectralField(u.grid, _complete(-projected, u.grid, band))
 
 
 def lans_rhs(w: SpectralField, cfg: LansConfig) -> SpectralField:

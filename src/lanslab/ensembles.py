@@ -121,7 +121,10 @@ def random_band_limited(
         coeffs = coeffs * r ** (-decay)
     if zero_mean:
         coeffs[(...,) + (0,) * grid.dim] = 0.0
-    return dealias(SpectralField(grid, coeffs))
+    field = SpectralField(grid, coeffs)
+    # the coefficients lie in the cube of the ball |k| <= k_max, so dealias
+    # changes nothing when that cube is inside the dealias cube
+    return field if _ball_band(grid, k_max) <= grid.dealias_keep else dealias(field)
 
 
 def random_solenoidal(

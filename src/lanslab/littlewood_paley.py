@@ -34,6 +34,7 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _cube,
+    _cube_index,
     _cube_k_magnitude,
     _forward_band,
     _irfft,
@@ -170,9 +171,17 @@ class DyadicPartition:
 
     @cached_property
     def unity_defect(self) -> float:
-        """Max |1 - sum of profiles| over the lattice ball |k| <= 2^j_max."""
-        total = np.sum(self.multipliers, axis=0)
-        covered = self.grid.k_magnitude <= 2.0**self.j_max
+        """Max |1 - sum of profiles| over the lattice ball |k| <= 2^j_max.
+
+        The cubes are nested, so the profiles are summed in j order on the
+        top block's cube, which holds that ball; the sum equals the dense
+        stack's bit for bit.
+        """
+        top = self.bands[-1]
+        total = np.zeros(self.cubes[-1].shape)
+        for cube, band in zip(self.cubes, self.bands):
+            total[_cube_index(2 * top + 1, band, self.grid.dim)] += cube
+        covered = _cube_k_magnitude(self.grid, top) <= 2.0**self.j_max
         return float(np.max(np.abs(1.0 - total[covered])))
 
     def lowpass_multiplier(self, j: int) -> np.ndarray:

@@ -19,8 +19,10 @@ Band mode: given a band K < N/2, _rfft and _irfft transform only the cube
 on output (FFT pruning; Markel 1971, Sorensen & Burrus 1993), and equal
 truncate-then-transform bit for bit.  _forward_band(x, grid,
 grid.dealias_keep) is dealias(forward_transform(x, grid)) made that way.
-The Besov block norms, the verifiers' products and the band-limited
-ensembles use the band mode.
+The Besov block norms, the verifiers' products, the band-limited
+ensembles and the nonlinearity kernel use the band mode; the kernel's
+multipliers act on the half cube (_HalfCube) and _complete turns a half
+cube back into lattice coefficients.
 
 Nyquist policy: on the full lattice the index N/2 of an axis is the
 frequency -N/2, whose mirror image is itself, so the odd multiplier i k
@@ -31,13 +33,14 @@ k_squared keeps the true |k|^2.
 
 Linear differential operators are diagonal multipliers and therefore exact
 on band-limited data.  Products are not formed here: the nonlinearity
-kernel in dynamics takes them in physical space on the half lattice and
-follows them with the dealias mask, which zeroes every coefficient whose
-max-norm frequency exceeds dealias_fraction * N/2.
+kernel in dynamics takes them in physical space and keeps only the
+dealias cube of their transforms, as the dealias mask does, which zeroes
+every coefficient whose max-norm frequency exceeds dealias_fraction * N/2.
 
 Lattice arrays (mesh, k_squared, k_magnitude, dealias_mask and the Leray
 projection's |k|^2) are built once per grid value, read-only, and shared
-by equal TorusGrid objects through a small module cache.
+by equal TorusGrid objects through a small module cache; so are the
+half-cube arrays of each grid value and band.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -219,6 +223,34 @@ def _lattice(grid: TorusGrid) -> _Lattice:
     return _Lattice(grid)
 
 
+class _HalfCube(NamedTuple):
+    """Read-only multiplier arrays on the half cube |m_i| <= band, m_last >= 0
+    of one grid value (the rfftn half lattice when band >= N/2)."""
+
+    wavenumbers: list  # TorusGrid.wavenumbers there, broadcastable
+    k_squared: np.ndarray
+    leray_k_squared: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _half_cube(grid: TorusGrid, band: int) -> _HalfCube:
+    """The shared half-cube arrays of a grid value and band, cut from the
+    grid's per-axis modes and formed by _Lattice's formulas, so they equal
+    the lattice arrays cut to the cube bit for bit."""
+    n, dim = grid.points_per_axis, grid.dim
+    lead = np.arange(n) if band >= n // 2 else _band_axis(n, band)
+    last = lead[: min(band, n // 2) + 1]
+
+    def cut(per_axis):
+        return [_frozen(np.take(a, last if i == dim - 1 else lead, axis=i)) for i, a in enumerate(per_axis)]
+
+    wavenumbers = cut(grid.wavenumbers)
+    leray_ksq = sum(k**2 for k in wavenumbers)
+    leray_ksq[leray_ksq == 0.0] = 1.0
+    k_squared = sum((m * grid.wavenumber_scale) ** 2 for m in cut(grid.mode_numbers))
+    return _HalfCube(wavenumbers, _frozen(k_squared), _frozen(leray_ksq))
+
+
 @dataclass
 class SpectralField:
     """Fourier coefficients of a scalar (rank 0), vector (rank 1) or
@@ -318,10 +350,18 @@ def _cube(a: np.ndarray, band: int, dim: int) -> np.ndarray:
     return a[(...,) + _cube_index(a.shape[-1], band, dim)]
 
 
+def _band_runs(n: int, band: int) -> tuple:
+    """(lattice, cube) slice pairs of the two runs of an FFT-ordered band
+    axis, the modes 0..band and -band..-1."""
+    return (slice(0, band + 1), slice(0, band + 1)), (slice(n - band, n), slice(band + 1, 2 * band + 1))
+
+
 def _uncube(cube: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
-    """The lattice array that holds a full cube |m_i| <= band and is zero elsewhere."""
+    """The lattice array that holds a full cube |m_i| <= band and is zero
+    elsewhere, copied corner by corner with basic slices."""
     out = np.zeros(cube.shape[: -grid.dim] + grid.shape, dtype=cube.dtype)
-    out[(...,) + _cube_index(grid.points_per_axis, band, grid.dim)] = cube
+    for runs in itertools.product(_band_runs(grid.points_per_axis, band), repeat=grid.dim):
+        out[(...,) + tuple(r[0] for r in runs)] = cube[(...,) + tuple(r[1] for r in runs)]
     return out
 
 
@@ -334,6 +374,31 @@ def _cube_k_magnitude(grid: TorusGrid, band: int) -> np.ndarray:
     return np.sqrt(sum((m * grid.wavenumber_scale) ** 2 for m in modes))
 
 
+def _cut_half(coeffs: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
+    """The half cube |m_i| <= band, m_last >= 0 of lattice coefficients (a
+    copy), or their half lattice (a view) when band >= N/2."""
+    n = grid.points_per_axis
+    if band >= n // 2:
+        return _half(coeffs, grid)
+    return coeffs[(...,) + _cube_index(n, band, grid.dim, half=True)]
+
+
+def _in_band(coeffs: np.ndarray, grid: TorusGrid, band: int) -> bool:
+    """Whether the half lattice of coefficients is zero outside the cube
+    |m_i| <= band: a test for any nonzero in the slab m_last > band and, per
+    leading axis, the slab |m_axis| > band, cheaper than _support_band."""
+    n, dim = grid.points_per_axis, grid.dim
+    if band >= n // 2:
+        return True
+    half = _half(coeffs, grid)
+    slabs = [half[..., band + 1 :]]
+    for axis in range(dim - 1):
+        pick = [slice(None)] * (dim - 1) + [slice(0, band + 1)]
+        pick[axis] = slice(band + 1, n - band)
+        slabs.append(half[(...,) + tuple(pick)])
+    return not any(np.any(s) for s in slabs)
+
+
 def _support_band(a: np.ndarray, dim: int) -> int:
     """Smallest band whose cube holds every nonzero of a lattice or cube array."""
     coords = np.nonzero(np.any(a != 0, axis=tuple(range(a.ndim - dim))))
@@ -344,7 +409,9 @@ def _support_band(a: np.ndarray, dim: int) -> int:
 def _spread(a: np.ndarray, axis: int, n: int, band: int) -> np.ndarray:
     """Zero-fill one FFT-ordered cube axis (side 2 band + 1) to the lattice side n."""
     out = np.zeros(a.shape[:axis] + (n,) + a.shape[axis + 1 :], dtype=a.dtype)
-    out[(slice(None),) * axis + (_band_axis(n, band),)] = a
+    lead = (slice(None),) * axis
+    for lattice, cube in _band_runs(n, band):
+        out[lead + (lattice,)] = a[lead + (cube,)]
     return out
 
 
@@ -418,14 +485,20 @@ def _full(half: np.ndarray, grid: TorusGrid, n: int | None = None) -> np.ndarray
     return out
 
 
+def _complete(half: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
+    """The Hermitian lattice coefficients whose half cube of band (half
+    lattice when band >= N/2) is half: _full completes the cube, which is
+    then zero-filled to the lattice."""
+    if band >= grid.points_per_axis // 2:
+        return _full(half, grid)
+    return _uncube(_full(half, grid, 2 * band + 1), grid, band)
+
+
 def _forward_band(samples: np.ndarray, grid: TorusGrid, band: int) -> SpectralField:
     """forward_transform with every mode outside the cube |m_i| <= band
     zeroed, transforming and completing only the cube; band = dealias_keep
     gives dealias(forward_transform(samples, grid))."""
-    n = grid.points_per_axis
-    if band >= n // 2:
-        return forward_transform(samples, grid)
-    return SpectralField(grid, _uncube(_full(_rfft(samples, grid, band), grid, 2 * band + 1), grid, band))
+    return SpectralField(grid, _complete(_rfft(samples, grid, band), grid, band))
 
 
 def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
@@ -523,12 +596,14 @@ def leray_project(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, _leray(field.coeffs, field.grid))
 
 
-def _leray(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """c - k (k.c)/|k|^2 mode by mode on the full or half lattice (as wide
-    as coeffs' last axis), identity wherever that |k|^2 is 0."""
-    width = coeffs.shape[-1]
-    wavenumbers = [k[..., :width] for k in grid.wavenumbers]
-    ksq = _lattice(grid).leray_k_squared[..., :width]
+def _leray(coeffs: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.ndarray:
+    """c - k (k.c)/|k|^2 mode by mode on the full lattice, or on the half
+    cube of a band (_HalfCube), identity wherever that |k|^2 is 0."""
+    if band is None:
+        wavenumbers, ksq = grid.wavenumbers, _lattice(grid).leray_k_squared
+    else:
+        half = _half_cube(grid, band)
+        wavenumbers, ksq = half.wavenumbers, half.leray_k_squared
     kdotu = None
     for j, k in enumerate(wavenumbers):
         term = k * coeffs[j]

@@ -52,6 +52,12 @@ def rng():
     return np.random.default_rng(0)
 
 
+def mirrored(c, dim):
+    """c(-k) on the lattice: index i -> (-i) mod N along each lattice axis."""
+    axes = tuple(range(c.ndim - dim, c.ndim))
+    return np.roll(np.flip(c, axes), 1, axes)
+
+
 def zero_field(grid: TorusGrid, rank: int = 1) -> SpectralField:
     """The zero field of the given tensor rank on the grid."""
     return SpectralField(grid, np.zeros((grid.dim,) * rank + grid.shape, dtype=np.complex128))

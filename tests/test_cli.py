@@ -2,11 +2,12 @@
 
 import json
 import re
+import tracemalloc
 
 import pytest
 
 from lanslab import DyadicPartition, build_partition, read_field
-from lanslab.cli import build_parser, main
+from lanslab.cli import _suite_partition, build_parser, main
 
 
 def read_report(path):
@@ -36,6 +37,20 @@ class TestVerify:
         build_partition.cache_clear()
         main(["verify", "--suite", "product", "--n", "16", "--out", str(tmp_path / "o")])
         assert len(built) <= 2
+
+    def test_partition_suite_reads_the_cubes(self):
+        # the unity and disjointness checks run on the nested cubes: a 128^3
+        # partition keeps 2.3 MB of them, where its dense stack is 84 MB
+        build_partition.cache_clear()
+        tracemalloc.start()
+        try:
+            records = _suite_partition(128, 0)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [r["status"] for r in records] == ["pass", "pass"]
+        assert kept < 10 * 2**20
+        build_partition.cache_clear()
 
     def test_under_resolved_grid_is_inconclusive(self, tmp_path):
         # too few dyadic levels for a slope fit: refuse to certify

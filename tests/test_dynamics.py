@@ -43,7 +43,7 @@ from lanslab import (
     weighted_norm,
 )
 from lanslab.dynamics import _nonlinear_terms, _phi_factors
-from conftest import zero_field
+from conftest import mirrored, zero_field
 
 HEAT_FACTOR_K2_T01 = 0.6703200460356393  # exp(-0.4), |k| = 2 for t = 0.1
 
@@ -61,6 +61,28 @@ def grid16_mod():
 def band_field(grid, seed, k_max=3.0, scale=1.0):
     u = random_solenoidal(grid, np.random.default_rng(seed), k_min=1.0, k_max=k_max)
     return u * (scale / l2_norm(u))
+
+
+def physical_product(A, B, pattern):
+    """The dealiased product of two fields, formed in physical space by einsum pattern."""
+    pa, pb = inverse_transform(A), inverse_transform(B)
+    return dealias(forward_transform(np.einsum(pattern, pa, pb), A.grid))
+
+
+def def_rot(h):
+    """Def = (G + G^T)/2 and Rot = (G - G^T)/2 of G[i, j] = d_j h_i."""
+    G = gradient(h).coeffs
+    GT = np.swapaxes(G, 0, 1)
+    return SpectralField(h.grid, 0.5 * (G + GT)), SpectralField(h.grid, 0.5 * (G - GT))
+
+
+def composed_stress(f, g, cfg):
+    """div((alpha^2/2)(1 - alpha^2 Lap)^(-1)[Def(f) Rot(g) + Def(g) Rot(f)])
+    one public primitive at a time."""
+    a = cfg.alpha
+    (Df, Rf), (Dg, Rg) = def_rot(f), def_rot(g)
+    tensor = physical_product(Df, Rg, "im...,mj...->ij...") + physical_product(Dg, Rf, "im...,mj...->ij...")
+    return divergence(helmholtz_inverse(tensor * (a**2 / 2.0), a))
 
 
 class TestReynoldsStress:
@@ -89,22 +111,7 @@ class TestReynoldsStress:
             rng = np.random.default_rng(3)
             f, g = (leray_project(forward_transform(rng.standard_normal((3,) + grid16_mod.shape), grid16_mod))
                     for _ in range(2))
-        a = cfg16.alpha
-
-        def matmul_phys(A, B):
-            pa, pb = inverse_transform(A), inverse_transform(B)
-            prod = np.einsum("im...,mj...->ij...", pa, pb)
-            return dealias(forward_transform(prod, grid16_mod))
-
-        def def_rot(h):
-            G = gradient(h).coeffs  # G[i, j] = d_j h_i
-            GT = np.swapaxes(G, 0, 1)
-            return SpectralField(grid16_mod, 0.5 * (G + GT)), SpectralField(grid16_mod, 0.5 * (G - GT))
-
-        Df, Rf = def_rot(f)
-        Dg, Rg = def_rot(g)
-        tensor = matmul_phys(Df, Rg) + matmul_phys(Dg, Rf)
-        expected = divergence(helmholtz_inverse(tensor * (a**2 / 2.0), a))
+        expected = composed_stress(f, g, cfg16)
         got = reynolds_stress(f, g, cfg16)
         assert l2_norm(got - dealias(expected)) <= 1e-12 * max(l2_norm(expected), 1e-300)
 
@@ -172,25 +179,35 @@ class TestVectorFields:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("with_background, budget", [(False, 27), (True, 48)])
-    def test_scalar_transform_budget(self, cfg16, grid16_mod, monkeypatch, with_background, budget):
-        # every transform spans the whole grid, so each leading index of the
-        # transformed array is one scalar FFT; real transforms are counted on
-        # their real-grid side (the half spectrum has N^2 (N/2 + 1) points)
+    @pytest.mark.parametrize("with_background, budget, out_of_cube", [
+        (False, 21, False), (True, 37, False), (False, 27, True), (True, 48, True)])
+    def test_scalar_transform_budget(self, cfg16, grid16_mod, monkeypatch, with_background, budget, out_of_cube):
+        # an n-D transform spans the whole grid, so each leading index of
+        # the transformed array is one scalar FFT; a 1-D pass of a pruned
+        # transform counts the lines it transforms over the 2 N (N/2 + 1) + N^2
+        # lines of one unpruned scalar real transform.  Real transforms are
+        # counted on their real-grid side.  A mode outside the dealias cube
+        # sends the inverse transforms to the whole half lattice.
+        n = grid16_mod.points_per_axis
         u = band_field(grid16_mod, 40)
+        if out_of_cube:
+            u = with_mode_outside_cube(u)
         v = band_field(grid16_mod, 41) if with_background else None
         scalar = []
 
         def counting(name, original):
             def wrapped(a, *args, **kwargs):
                 out = original(a, *args, **kwargs)
-                real_side = out if name == "irfftn" else a
-                scalar.append(np.asarray(real_side).size // grid16_mod.points_per_axis**3)
+                side = np.asarray(out if name.startswith("irfft") else a)
+                if name.endswith("n"):
+                    scalar.append(side.size // n**3)
+                else:
+                    scalar.append(side.size / side.shape[kwargs.get("axis", -1)] / (2 * n * (n // 2 + 1) + n**2))
                 return out
 
             return wrapped
 
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         nonlinear_rhs(u, cfg16, v)
         assert 0 < sum(scalar) <= budget
@@ -207,6 +224,90 @@ class TestKernel:
         lhs = lans_rhs(u + v, cfg)
         rhs = mlans_rhs(u, v, cfg) + lans_rhs(v, cfg)
         assert l2_norm(lhs - rhs) <= 1e-11 * l2_norm(lhs)
+
+
+def composed_nonlinear_rhs(u, cfg, v=None):
+    """nonlinear_rhs rebuilt one public primitive at a time on the full
+    lattice: -P[div sym(u (x) (u + 2v)) + div tau(u, u) + 2 div tau(u, v)]."""
+    w = u if v is None else u + v * 2.0
+    outer = physical_product(u, w, "i...,j...->ij...").coeffs
+    terms = divergence(SpectralField(u.grid, 0.5 * (outer + np.swapaxes(outer, 0, 1)))) + composed_stress(u, u, cfg)
+    if v is not None:
+        terms = terms + composed_stress(u, v, cfg) * 2.0
+    return -leray_project(terms)
+
+
+def with_mode_outside_cube(u):
+    """u plus a solenoidal real mode at k = (0, K + 1, 0), outside the dealias cube."""
+    grid = u.grid
+    m = grid.dealias_keep + 1
+    c = u.coeffs.copy()
+    c[0, 0, m, 0] += 0.25 + 0.1j
+    c[0, 0, -m, 0] += 0.25 - 0.1j
+    return SpectralField(grid, c)
+
+
+class TestKernelFallback:
+    """The kernel prunes its transforms to the dealias cube.  An input with
+    a mode outside that cube, or a grid whose dealias cube is the whole
+    lattice, takes the half lattice instead; either way the result is the
+    primitive composition's and exactly Hermitian."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("case, with_background", [
+        ("mode_outside_cube", False), ("mode_outside_cube", True), ("background_outside_cube", True),
+        ("dealias_fraction_1", False), ("dealias_fraction_1", True)])
+    def test_against_primitive_composition(self, case, with_background, alpha):
+        if case == "dealias_fraction_1":
+            grid = TorusGrid(dim=3, points_per_axis=16, dealias_fraction=1.0)
+            rng = np.random.default_rng(5)
+            u, v = (leray_project(forward_transform(rng.standard_normal((3,) + grid.shape), grid)) for _ in range(2))
+        else:
+            grid = TorusGrid(dim=3, points_per_axis=16)
+            u, v = band_field(grid, 50), band_field(grid, 51)
+            if case == "mode_outside_cube":
+                u = with_mode_outside_cube(u)
+            else:
+                v = with_mode_outside_cube(v)
+        cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
+        got = nonlinear_rhs(u, cfg, v if with_background else None)
+        expected = composed_nonlinear_rhs(u, cfg, v if with_background else None)
+        assert l2_norm(got - expected) <= 1e-12 * l2_norm(expected)
+        assert np.array_equal(mirrored(got.coeffs, 3), np.conj(got.coeffs))
+
+
+def signed_permutation(samples, perm, signs, shift):
+    """Physical samples of R u(R^T (x - s)) for the signed permutation R
+    with R e_j = signs[j] e_perm[j] and a shift s of whole grid cells."""
+    out = np.empty_like(samples)
+    for j in range(3):
+        a = samples[j]
+        for axis in range(3):
+            if signs[axis] < 0:
+                a = np.roll(np.flip(a, axis), 1, axis)
+        out[perm[j]] = signs[j] * np.transpose(a, np.argsort(perm))
+    return np.roll(out, shift, axis=(1, 2, 3))
+
+
+class TestKernelEquivariance:
+    """N(T u) = T N(u) for the cubic group's signed permutations composed
+    with grid shifts: a guard for rewrites of the kernel that holds for
+    any stress tensor built from Def and Rot."""
+
+    @given(perm=st.permutations([0, 1, 2]), signs=st.tuples(*[st.sampled_from([-1, 1])] * 3),
+           shift=st.tuples(*[st.integers(0, 15)] * 3), with_background=st.booleans())
+    def test_signed_permutations_and_shifts(self, perm, signs, shift, with_background):
+        grid = TorusGrid(dim=3, points_per_axis=16)
+        cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
+        u, v = band_field(grid, 60, k_max=4.0), band_field(grid, 61, k_max=4.0)
+        bg = v if with_background else None
+
+        def act(f):
+            return forward_transform(signed_permutation(inverse_transform(f), perm, signs, shift), grid)
+
+        moved = nonlinear_rhs(act(u), cfg, act(v) if with_background else None)
+        expected = act(nonlinear_rhs(u, cfg, bg))
+        assert l2_norm(moved - expected) <= 1e-14 * l2_norm(expected)
 
 
 def abc_field(grid, K, A=1.0, B=0.7, C=0.4):

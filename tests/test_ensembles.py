@@ -19,6 +19,7 @@ from lanslab import (
     relative_divergence,
     shell_field,
 )
+from conftest import mirrored
 
 
 class TestFactoryBasics:
@@ -118,12 +119,6 @@ class TestCoherentProfiles:
         assert np.max(np.abs(f.coeffs[on_shell])) > 3.0 * np.max(
             np.abs(f.coeffs[edge]) if np.any(edge) else 0.0
         )
-
-
-def mirrored(c, dim):
-    """c(-k) on the lattice: index i -> (-i) mod N along each lattice axis."""
-    axes = tuple(range(c.ndim - dim, c.ndim))
-    return np.roll(np.flip(c, axes), 1, axes)
 
 
 HERMITIAN_GRIDS = [TorusGrid(dim=2, points_per_axis=16), TorusGrid(dim=3, points_per_axis=8),

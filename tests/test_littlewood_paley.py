@@ -61,6 +61,18 @@ class TestPartitionStructure:
     def test_unity_on_covered_ball(self, part32):
         assert part32.unity_defect <= 1e-12
 
+    @pytest.mark.parametrize("grid", [TorusGrid(3, 32), TorusGrid(3, 32, box_length=5.0), TorusGrid(2, 64)], ids=str)
+    def test_unity_defect_equals_the_dense_sum(self, grid):
+        # perturbed profiles, so that the defect is not 0: the sum over the
+        # nested cubes equals the dense stack's sum bit for bit
+        part = DyadicPartition(grid, build_partition(grid).j_max)
+        rng = np.random.default_rng(1)
+        part.cubes = [c * (1.0 + 1e-3 * rng.standard_normal(c.shape)) for c in part.cubes]
+        defect = part.unity_defect
+        assert "multipliers" not in vars(part)
+        dense = np.sum(part.multipliers, axis=0)[grid.k_magnitude <= 2.0**part.j_max]
+        assert defect == float(np.max(np.abs(1.0 - dense))) > 0.0
+
     def test_non_adjacent_blocks_disjoint(self, part32):
         mults = part32.multipliers
         for j in range(len(mults)):

@@ -36,7 +36,7 @@ from lanslab import (
 )
 from lanslab.dynamics import _flux
 from lanslab.spectral import _cube, _cube_index, _forward_band, _irfft, _rfft, _support_band
-from conftest import zero_field
+from conftest import mirrored, zero_field
 
 # volume of the unit torus [0, 2pi)^3; sqrt of it is the L2 norm of f == 1
 VOLUME_3D = (2.0 * np.pi) ** 3
@@ -122,12 +122,6 @@ class TestTransforms:
     def test_lp_infinity_is_peak_value(self, grid16):
         f = single_mode(grid16, (1, 0, 0))
         assert lp_norm(f, np.inf) == pytest.approx(1.0, rel=1e-12)
-
-
-def mirrored(c, dim):
-    """c(-k) on the lattice: index i -> (-i) mod N along each lattice axis."""
-    axes = tuple(range(c.ndim - dim, c.ndim))
-    return np.roll(np.flip(c, axes), 1, axes)
 
 
 TRANSFORM_CASES = [(dim, n, rank) for dim, n in ((2, 8), (2, 16), (3, 8), (3, 16)) for rank in (0, 1, 2)]
