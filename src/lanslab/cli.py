@@ -34,7 +34,7 @@ from .littlewood_paley import BesovIndex, build_partition
 from .monitor import cancellation_check, energy_pair
 from .pipeline import CLI_KEYS, PipelineConfig, run_pipeline
 from .reporting import manifest_hash, write_csv_trace, write_json_report
-from .spectral import TorusGrid, _cube, _forward_band, forward_transform, gradient, inverse_transform, l2_norm
+from .spectral import TorusGrid, _cube_index, _forward_band, forward_transform, gradient, inverse_transform, l2_norm
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -70,8 +70,9 @@ def _suite_partition(n: int, seed: int) -> list:
     worst = 0.0
     for j in range(part.j_max + 1):
         for l in range(j + 2, part.j_max + 1):
-            # block j's cube nests in block l's, and the product is 0 outside it
-            worst = max(worst, float(np.max(part.cubes[j] * _cube(part.cubes[l], part.bands[j], grid.dim))))
+            # block j's half cube nests in block l's, and the product is 0 outside it
+            inner = part.cubes[l][_cube_index(2 * part.bands[l] + 1, part.bands[j], grid.dim)]
+            worst = max(worst, float(np.max(part.cubes[j] * inner)))
     records.append({
         "case": "partition:disjointness",
         "measured": {"max_overlap": worst},
@@ -311,6 +312,8 @@ def cmd_sweep(args) -> int:
         nus = _parse_grid_list("--nu", args.nu, float)
         ns = _parse_grid_list("--n", args.n, int)
         dts = _parse_grid_list("--dt", args.dt, float)
+        if not 0 < args.t_end < np.inf:
+            raise ValueError(f"--t-end must be finite and > 0, got {args.t_end}")
     except ValueError as err:
         return _usage_error("sweep", err)
     cells = [{"alpha": a, "nu": nu, "n": n, "dt": dt}
@@ -453,6 +456,10 @@ def main(argv=None) -> int:
     for key, value in args.defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
+    if args.seed < 0:  # every command seeds numpy's generator with it
+        return _usage_error(args.command, f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= getattr(args, "data_norm", 0.0) < np.inf:  # solve and sweep
+        return _usage_error(args.command, f"--data-norm must be finite and >= 0, got {args.data_norm}")
     return args.func(args)
 
 

@@ -121,10 +121,10 @@ class LansConfig:
     nu: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.nu <= 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.nu < np.inf:
+            raise ValueError(f"nu must be finite and > 0, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,8 @@ def _time_nodes(t_end: float, dt: float) -> np.ndarray:
     """Equispaced nodes 0, dt, ..., t_end; t_end must be a multiple of dt > 0."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     steps = int(round(t_end / dt))
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")

@@ -20,7 +20,7 @@ from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     TorusGrid,
     _ball_band,
-    _cube,
+    _cut_half,
     _forward_band,
     _irfft,
     forward_transform,
@@ -300,9 +300,9 @@ def _product_hypotheses(s1, p1, s2, p2, p, n):
 def _max_product_ratio(grid, s1, p1, s2, p2, p, q, s, pairs, rng) -> float:
     part = build_partition(grid)
     k_hi = 0.95 * 2.0**part.j_max
-    # f and g live on the cube of their band, the product on the dealias cube
+    # f and g live on the half cube of their band, the product on the dealias cube
     band = _ball_band(grid, k_hi)
-    physical = lambda h: _irfft(_cube(h.coeffs, band, grid.dim), grid, band)
+    physical = lambda h: _irfft(_cut_half(h.coeffs, grid, band), grid, band)
     i1, i2, ip = BesovIndex(s1, p1, q), BesovIndex(s2, p2, q), BesovIndex(s, p, q)
     worst = 0.0
     for m in range(pairs):

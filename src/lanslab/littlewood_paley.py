@@ -19,8 +19,9 @@ to |k| <= 2^J.
 
 The partition depends on the grid alone: build_partition(grid) returns one
 shared, read-only DyadicPartition per grid, built on the first call.  It
-stores each block profile on the bounding cube of its nonzero samples: a
-128^3 partition holds 2.3 MB of cubes instead of an 84 MB dense stack.
+stores each block profile on the half cube of its tight band, spectral's
+one layout of band-limited arrays: a 128^3 partition holds 1.1 MB of half
+cubes instead of an 84 MB dense stack.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ import numpy as np
 from .spectral import (
     SpectralField,
     TorusGrid,
-    _cube,
+    _complete,
     _cube_index,
-    _cube_k_magnitude,
+    _cut_half,
     _forward_band,
+    _half_k_squared,
     _irfft,
     _lp_quadrature,
-    _support_band,
-    _uncube,
 )
 
 __all__ = [
@@ -67,6 +67,11 @@ def smooth_lowpass_profile(r: np.ndarray) -> np.ndarray:
     return 1.0 - _smooth_ramp(2.0 * np.asarray(r, dtype=float) - 1.0)
 
 
+def _shell_profile(r: np.ndarray, j: int) -> np.ndarray:
+    """Block j's profile at |k| = r: H(r / 2^(j+1)), minus H(r / 2^j) for j > 0."""
+    return smooth_lowpass_profile(r / 2.0 ** (j + 1)) - (smooth_lowpass_profile(r / 2.0**j) if j > 0 else 0.0)
+
+
 @dataclass(frozen=True)
 class BesovIndex:
     """Regularity/integrability triple (s, p, q); p, q may be inf."""
@@ -76,9 +81,9 @@ class BesovIndex:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.p != np.inf and self.p < 1:
+        if not self.p >= 1:
             raise ValueError(f"p must satisfy 1 <= p <= inf, got {self.p}")
-        if self.q != np.inf and self.q < 1:
+        if not self.q >= 1:
             raise ValueError(f"q must satisfy 1 <= q <= inf, got {self.q}")
 
 
@@ -122,15 +127,15 @@ class ParaproductPieces:
 class DyadicPartition:
     """Sampled dyadic partition of unity on a grid's frequency lattice.
 
-    Each profile is stored on the bounding cube of its nonzero samples:
-    bands[j] is the smallest K_j with psi_j zero outside |m_i| <= K_j, and
-    cubes[j] holds psi_j there, FFT-ordered with side 2 K_j + 1 per axis.
-    The cube is taken from the sampled support, not from 2^(j+1) in
-    physical units, so every box length is exact.  Block norms multiply
-    and transform only the cube.  multipliers is the dense (j_max + 1,) +
-    grid.shape stack, built from the cubes on first read.  Every array is
-    read-only, because build_partition shares one instance among all
-    callers on a grid.
+    Each profile is stored on the half cube of its tight band: bands[j] is
+    the smallest K_j with psi_j zero outside |m_i| <= K_j, and cubes[j]
+    holds psi_j on |m_i| <= K_j, m_last >= 0 (FFT order, side 2 K_j + 1 and
+    K_j + 1 on the last axis).  The band is taken from the sampled support,
+    not from 2^(j+1) in physical units, so every box length is exact.
+    Block operators multiply and transform only the half cube.  The dense
+    (j_max + 1,) + grid.shape stack multipliers, the tests' oracle, is
+    completed from the half cubes on first read.  Every array is read-only,
+    because build_partition shares one instance among all callers on a grid.
     """
 
     def __init__(self, grid: TorusGrid, j_max: int):
@@ -142,18 +147,16 @@ class DyadicPartition:
             )
         self.grid = grid
         self.j_max = j_max
-        n = grid.points_per_axis
+        # |k| at the axis modes (m, 0, ..., 0), formed as on the lattice
+        axis = np.sqrt((np.arange(grid.points_per_axis // 2) * grid.wavenumber_scale) ** 2)
         self.bands, self.cubes = [], []
         for j in range(j_max + 1):
-            # H(|k| / 2^(j+1)) is 0 wherever some |k_i| >= 2^(j+1), so a cube
-            # one mode wider than 2^(j+1) holds block j; psi_j is then cut
-            # to the tight cube of its nonzero samples
-            r = _cube_k_magnitude(grid, min(int(2.0 ** (j + 1) / grid.wavenumber_scale) + 1, n // 2 - 1))
-            psi = smooth_lowpass_profile(r / 2.0 ** (j + 1))
-            if j > 0:
-                psi -= smooth_lowpass_profile(r / 2.0**j)
-            band = _support_band(psi, grid.dim)
-            psi = _cube(psi, band, grid.dim)
+            # psi_j is radial and (m, 0, ..., 0) is the shortest k with
+            # max |m_i| = m, so the last axis mode where psi_j is nonzero is
+            # its tight band; a shell with no lattice point gets band 0
+            support = np.flatnonzero(_shell_profile(axis, j))
+            band = int(support[-1]) if support.size else 0
+            psi = _shell_profile(np.sqrt(_half_k_squared(grid, band)), j)
             psi.flags.writeable = False
             self.bands.append(band)
             self.cubes.append(psi)
@@ -161,57 +164,58 @@ class DyadicPartition:
     @cached_property
     def multipliers(self) -> np.ndarray:
         """The dense stack of block profiles on the full lattice (read-only)."""
-        mults = np.stack([_uncube(c, self.grid, band) for c, band in zip(self.cubes, self.bands)])
+        mults = np.stack([_complete(c, self.grid, band).real for c, band in zip(self.cubes, self.bands)])
         mults.flags.writeable = False
         return mults
 
     def _block(self, f: SpectralField, j: int) -> np.ndarray:
-        """The coefficients of Delta_j f on block j's cube."""
-        return _cube(f.coeffs, self.bands[j], self.grid.dim) * self.cubes[j]
+        """The coefficients of Delta_j f on block j's half cube."""
+        return _cut_half(f.coeffs, self.grid, self.bands[j]) * self.cubes[j]
 
     @cached_property
     def unity_defect(self) -> float:
         """Max |1 - sum of profiles| over the lattice ball |k| <= 2^j_max.
 
-        The cubes are nested, so the profiles are summed in j order on the
-        top block's cube, which holds that ball; the sum equals the dense
-        stack's bit for bit.
+        The half cubes are nested, so the profiles are summed in j order on
+        the top block's half cube, which holds the ball's half; the profiles
+        are even in k, so the sum equals the dense stack's bit for bit.
         """
         top = self.bands[-1]
         total = np.zeros(self.cubes[-1].shape)
         for cube, band in zip(self.cubes, self.bands):
             total[_cube_index(2 * top + 1, band, self.grid.dim)] += cube
-        covered = _cube_k_magnitude(self.grid, top) <= 2.0**self.j_max
+        covered = np.sqrt(_half_k_squared(self.grid, top)) <= 2.0**self.j_max
         return float(np.max(np.abs(1.0 - total[covered])))
-
-    def lowpass_multiplier(self, j: int) -> np.ndarray:
-        """S_j multiplier = sum of blocks 0..j = H(|k| / 2^(j+1))."""
-        if j < 0:
-            return np.zeros(self.grid.shape)
-        j = min(j, self.j_max)
-        return smooth_lowpass_profile(self.grid.k_magnitude / 2.0 ** (j + 1))
 
     def delta_j(self, f: SpectralField, j: int) -> SpectralField:
         if not 0 <= j <= self.j_max:
             raise ValueError(f"block index {j} outside 0..{self.j_max}")
         self._check_grid(f)
-        return SpectralField(f.grid, _uncube(self._block(f, j), self.grid, self.bands[j]))
+        return SpectralField(f.grid, _complete(self._block(f, j), self.grid, self.bands[j]))
 
     def s_j(self, f: SpectralField, j: int) -> SpectralField:
-        """Cumulative low-pass sum of blocks 0..j."""
+        """Cumulative low-pass sum of blocks 0..j, the multiplier
+        H(|k| / 2^(j+1)); block j's half cube holds its support."""
         self._check_grid(f)
-        return SpectralField(f.grid, f.coeffs * self.lowpass_multiplier(j))
+        if j < 0:
+            return SpectralField(f.grid, np.zeros_like(f.coeffs))
+        j = min(j, self.j_max)
+        band = self.bands[j]
+        low = smooth_lowpass_profile(np.sqrt(_half_k_squared(self.grid, band)) / 2.0 ** (j + 1))
+        return SpectralField(f.grid, _complete(_cut_half(f.coeffs, self.grid, band) * low, self.grid, band))
 
     def decompose(self, f: SpectralField) -> LPBlocks:
         self._check_grid(f)
         return LPBlocks([self.delta_j(f, j) for j in range(self.j_max + 1)])
 
     def block_lp_norms(self, f: SpectralField, p: float) -> np.ndarray:
-        """||Delta_j f||_p for j = 0..j_max, each from block j's cube.
+        """||Delta_j f||_p for j = 0..j_max, each from block j's half cube.
 
-        p = 2 goes through Parseval over the cube.  Other p transform the
-        cube back with the band-limited inverse and take the quadrature on
-        the full grid, so they equal lp_norm of the dense block bit for bit.
+        p = 2 goes through Parseval over the half cube, where each mode with
+        m_last > 0 stands for itself and its mirror image (K_j < N/2, so
+        there is no Nyquist plane).  Other p transform the half cube back
+        with the band-limited inverse and take the quadrature on the full
+        grid, so they equal lp_norm of the dense block bit for bit.
         """
         self._check_grid(f)
         out = np.empty(self.j_max + 1)
@@ -219,9 +223,9 @@ class DyadicPartition:
         for j, band in enumerate(self.bands):
             if p == 2:
                 # sum over lead axes so vectors use the Euclidean magnitude
-                mags = np.abs(_cube(f.coeffs, band, f.grid.dim)) ** 2
-                mags = mags.reshape((-1,) + self.cubes[j].shape).sum(axis=0)
-                out[j] = np.sqrt(vol * np.sum(self.cubes[j] ** 2 * mags))
+                mags = np.abs(_cut_half(f.coeffs, self.grid, band)) ** 2
+                mags = self.cubes[j] ** 2 * mags.reshape((-1,) + self.cubes[j].shape).sum(axis=0)
+                out[j] = np.sqrt(vol * (mags.sum() + mags[..., 1:].sum()))
             else:
                 out[j] = _lp_quadrature(_irfft(self._block(f, j), self.grid, band), f.rank, self.grid, p)
         return out
@@ -278,7 +282,7 @@ class DyadicPartition:
         Normalized so that Delta_j f = kernel * f as a torus convolution;
         its L^p norms scale like 2^(j n (1 - 1/p)) in the shell index.
         """
-        coeffs = _uncube(self.cubes[j].astype(np.complex128), self.grid, self.bands[j]) / self.grid.box_length**self.grid.dim
+        coeffs = _complete(self.cubes[j], self.grid, self.bands[j]) / self.grid.box_length**self.grid.dim
         return SpectralField(self.grid, coeffs)
 
     def _check_grid(self, f: SpectralField):
@@ -297,8 +301,8 @@ def build_partition(grid: TorusGrid) -> DyadicPartition:
 
     It is built once per grid: equal grids get the same shared, read-only
     instance.  The cache keeps the 4 most recently used grids; a 128^3
-    partition holds 2.3 MB of cubes (84 MB once its dense multipliers are
-    read).
+    partition holds 1.1 MB of half cubes (84 MB once its dense multipliers
+    are read).
     """
     return DyadicPartition(grid, _partition_depth(grid))
 

@@ -28,6 +28,8 @@ from .dynamics import (
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     SpectralField,
+    _complete,
+    _cut_half,
     forward_transform,
     gradient,
     inverse_transform,
@@ -92,12 +94,10 @@ def energy_pair(u: SpectralField, alpha: float) -> float:
     return l2_norm(u) ** 2 + alpha**2 * sobolev_norm(u, 1.0, 2.0, homogeneous=True) ** 2
 
 
-def _convective(u: SpectralField, w: SpectralField) -> SpectralField:
-    """(u . grad) w through physical space; exact pairing for 3K < N data."""
-    pu = inverse_transform(u)
-    jac = inverse_transform(gradient(w))  # jac[i, j] = d_j w_i
-    conv = np.einsum("j...,ij...->i...", pu, jac)
-    return forward_transform(conv, u.grid)
+def _convective(pu: np.ndarray, jac: np.ndarray, grid) -> SpectralField:
+    """(u . grad) w from the samples pu of u and jac[i, j] = d_j w_i of w;
+    exact pairing for 3K < N data."""
+    return forward_transform(np.einsum("j...,ij...->i...", pu, jac), grid)
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,13 @@ class CancellationResiduals:
 
 def cancellation_check(u: SpectralField, alpha: float) -> CancellationResiduals:
     grid = u.grid
-    if l2_norm(u) == 0.0:
+    u_norm = l2_norm(u)
+    if u_norm == 0.0:
         return CancellationResiduals(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
-    u_norm = l2_norm(u)
+    pu, jac = inverse_transform(u), inverse_transform(gradient(u))  # each transformed once
 
-    conv = _convective(u, u)
+    conv = _convective(pu, jac, grid)
     raw1 = l2_inner(conv, u)
     den1 = l2_norm(conv) * u_norm
     i1 = abs(raw1) / den1 if den1 > 0 else 0.0
@@ -137,10 +138,8 @@ def cancellation_check(u: SpectralField, alpha: float) -> CancellationResiduals:
     # filter-level pair: (u.grad)(Lap u) . u plus (Lap u)_i d_j u_i u_j;
     # each half is nonzero, the sum cancels through the divergence condition
     lap_u = SpectralField(grid, -grid.k_squared * u.coeffs)
-    t1 = l2_inner(_convective(u, lap_u), u)
-    p_lap = inverse_transform(lap_u)
-    jac = inverse_transform(gradient(u))  # jac[i, j] = d_j u_i
-    h = np.einsum("i...,ij...->j...", p_lap, jac)
+    t1 = l2_inner(_convective(pu, inverse_transform(gradient(lap_u)), grid), u)
+    h = np.einsum("i...,ij...->j...", inverse_transform(lap_u), jac)
     t2 = l2_inner(forward_transform(h, grid), u)
     raw2 = alpha**2 * (t1 + t2)
     den2 = max(abs(t1), abs(t2))
@@ -252,7 +251,7 @@ def _h2_pairing(term: SpectralField, u: SpectralField) -> float:
 
 
 def _h2_terms_at(u: SpectralField, v: SpectralField | None, cfg: LansConfig) -> dict:
-    out = {"k1": abs(_h2_pairing(_convective(u, u), u)),
+    out = {"k1": abs(_h2_pairing(_convective(inverse_transform(u), inverse_transform(gradient(u)), u.grid), u)),
            "k2": abs(_h2_pairing(reynolds_stress(u, u, cfg), u))}
     if v is None:
         out["l1"] = 0.0
@@ -268,14 +267,11 @@ def _truncation_defect(u: SpectralField) -> float:
     the resolved band is dropped; large values mean under-resolution."""
     grid = u.grid
     keep = grid.points_per_axis // 4
-    mask = np.ones(grid.shape, dtype=bool)
-    for m in grid.mode_numbers:
-        mask &= np.abs(m) <= keep
     full = sobolev_norm(u, 3.0, homogeneous=True)
     if full == 0.0:
         return 0.0
-    half = sobolev_norm(SpectralField(grid, u.coeffs * mask), 3.0, homogeneous=True)
-    return abs(full - half) / full
+    low = SpectralField(grid, _complete(_cut_half(u.coeffs, grid, keep), grid, keep))
+    return abs(full - sobolev_norm(low, 3.0, homogeneous=True)) / full
 
 
 def h2_term_monitor(
@@ -387,8 +383,8 @@ class SplitConfig:
     def __post_init__(self):
         if not (self.p_tilde > self.p > 2.0):
             raise ValueError(f"need p_tilde > p > 2, got p={self.p}, p_tilde={self.p_tilde}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.j_cut < 0:
             raise ValueError("j_cut must be nonnegative")
 

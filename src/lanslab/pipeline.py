@@ -77,8 +77,10 @@ class PipelineConfig:
     gate_contraction_target: float = 0.5
 
     def __post_init__(self):
-        if self.p <= 2.0:
+        if not self.p > 2.0:
             raise ValueError(f"base integrability must exceed 2, got p={self.p}")
+        if not 0 < self.data_scale < np.inf:
+            raise ValueError(f"data_scale must be finite and > 0, got {self.data_scale}")
         if self.steps <= 0 or self.steps % 8 != 0:
             raise ValueError("steps must be a positive multiple of 8 so the gate grid nests")
         _time_nodes(self.t_end, self.dt)

@@ -14,15 +14,18 @@ followed by Hermitian completion, inverse_transform one irfftn of the half
 lattice.  The private helpers _rfft, _irfft and _full are the package's
 only FFT call sites.
 
-Band mode: given a band K < N/2, _rfft and _irfft transform only the cube
-|m_i| <= K, skipping the FFT lines that are zero on input or thrown away
-on output (FFT pruning; Markel 1971, Sorensen & Burrus 1993), and equal
-truncate-then-transform bit for bit.  _forward_band(x, grid,
+Band mode: a band K < N/2 limits an array to the half cube |m_i| <= K,
+m_last >= 0 (FFT order, side 2K + 1 and K + 1 on the last axis), the one
+layout of band-limited arrays.  _cut_half cuts it from lattice
+coefficients and _complete turns it back into them; _rfft makes and
+_irfft reads only it, skipping the FFT lines that are zero on input or
+thrown away on output (FFT pruning; Markel 1971, Sorensen & Burrus 1993),
+and equal truncate-then-transform bit for bit.  _forward_band(x, grid,
 grid.dealias_keep) is dealias(forward_transform(x, grid)) made that way.
-The Besov block norms, the verifiers' products, the band-limited
-ensembles and the nonlinearity kernel use the band mode; the kernel's
-multipliers act on the half cube (_HalfCube) and _complete turns a half
-cube back into lattice coefficients.
+The dyadic partition's profiles, the Besov block norms, the verifiers'
+products, the band-limited ensembles and the nonlinearity kernel use the
+band mode; the kernel's multipliers act on arrays built once per band
+(_HalfCube), and _half_k_squared gives |k|^2 there afresh.
 
 Nyquist policy: on the full lattice the index N/2 of an axis is the
 frequency -N/2, whose mirror image is itself, so the odd multiplier i k
@@ -232,23 +235,30 @@ class _HalfCube(NamedTuple):
     leray_k_squared: np.ndarray
 
 
+def _half_axes(per_axis: list, grid: TorusGrid, band: int) -> list:
+    """Broadcastable per-axis arrays of the lattice cut to the half cube of
+    band (the half lattice when band >= N/2)."""
+    n, dim = grid.points_per_axis, grid.dim
+    lead = np.arange(n) if band >= n // 2 else _band_axis(n, band)
+    last = lead[: min(band, n // 2) + 1]
+    return [np.take(a, last if i == dim - 1 else lead, axis=i) for i, a in enumerate(per_axis)]
+
+
+def _half_k_squared(grid: TorusGrid, band: int) -> np.ndarray:
+    """|k|^2 on the half cube of band, formed by _Lattice's formula so that
+    it equals the lattice array cut there bit for bit; built on each call."""
+    return sum((m * grid.wavenumber_scale) ** 2 for m in _half_axes(grid.mode_numbers, grid, band))
+
+
 @lru_cache(maxsize=8)
 def _half_cube(grid: TorusGrid, band: int) -> _HalfCube:
     """The shared half-cube arrays of a grid value and band, cut from the
     grid's per-axis modes and formed by _Lattice's formulas, so they equal
     the lattice arrays cut to the cube bit for bit."""
-    n, dim = grid.points_per_axis, grid.dim
-    lead = np.arange(n) if band >= n // 2 else _band_axis(n, band)
-    last = lead[: min(band, n // 2) + 1]
-
-    def cut(per_axis):
-        return [_frozen(np.take(a, last if i == dim - 1 else lead, axis=i)) for i, a in enumerate(per_axis)]
-
-    wavenumbers = cut(grid.wavenumbers)
+    wavenumbers = [_frozen(k) for k in _half_axes(grid.wavenumbers, grid, band)]
     leray_ksq = sum(k**2 for k in wavenumbers)
     leray_ksq[leray_ksq == 0.0] = 1.0
-    k_squared = sum((m * grid.wavenumber_scale) ** 2 for m in cut(grid.mode_numbers))
-    return _HalfCube(wavenumbers, _frozen(k_squared), _frozen(leray_ksq))
+    return _HalfCube(wavenumbers, _frozen(_half_k_squared(grid, band)), _frozen(leray_ksq))
 
 
 @dataclass
@@ -330,11 +340,13 @@ def _band_axis(n: int, band: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _cube_index(n: int, band: int, dim: int, half: bool = False) -> tuple:
-    """Open-mesh index of the cube |m_i| <= band in an array whose trailing
-    dim axes are FFT-ordered with side n; half=True keeps m_last >= 0."""
+def _cube_index(n: int, band: int, dim: int) -> tuple:
+    """Open-mesh index of the half cube |m_i| <= band, m_last >= 0 in an
+    array whose trailing dim axes hold the modes in FFT order: side n on
+    the leading axes, and a last axis that starts at mode 0 (the lattice,
+    or the half cube of a larger band, with n = 2 * that band + 1)."""
     axis = _band_axis(n, band)
-    return tuple(_frozen(a) for a in np.ix_(*([axis] * (dim - 1)), axis[: band + 1] if half else axis))
+    return tuple(_frozen(a) for a in np.ix_(*([axis] * (dim - 1)), axis[: band + 1]))
 
 
 def _ball_band(grid: TorusGrid, radius: float) -> int:
@@ -344,34 +356,10 @@ def _ball_band(grid: TorusGrid, radius: float) -> int:
     return max(int(np.count_nonzero(m <= radius)) - 1, 0)
 
 
-def _cube(a: np.ndarray, band: int, dim: int) -> np.ndarray:
-    """The cube |m_i| <= band of a lattice or larger cube array (a copy),
-    FFT-ordered with side 2 band + 1 on every trailing axis."""
-    return a[(...,) + _cube_index(a.shape[-1], band, dim)]
-
-
 def _band_runs(n: int, band: int) -> tuple:
     """(lattice, cube) slice pairs of the two runs of an FFT-ordered band
     axis, the modes 0..band and -band..-1."""
     return (slice(0, band + 1), slice(0, band + 1)), (slice(n - band, n), slice(band + 1, 2 * band + 1))
-
-
-def _uncube(cube: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
-    """The lattice array that holds a full cube |m_i| <= band and is zero
-    elsewhere, copied corner by corner with basic slices."""
-    out = np.zeros(cube.shape[: -grid.dim] + grid.shape, dtype=cube.dtype)
-    for runs in itertools.product(_band_runs(grid.points_per_axis, band), repeat=grid.dim):
-        out[(...,) + tuple(r[0] for r in runs)] = cube[(...,) + tuple(r[1] for r in runs)]
-    return out
-
-
-def _cube_k_magnitude(grid: TorusGrid, band: int) -> np.ndarray:
-    """|k| on the cube |m_i| <= band, formed as grid.k_magnitude forms it,
-    so it equals the lattice array cut to the cube bit for bit."""
-    n = grid.points_per_axis
-    axis = np.fft.fftfreq(n, d=1.0 / n)[_band_axis(n, band)]
-    modes = np.meshgrid(*([axis] * grid.dim), indexing="ij", sparse=True)
-    return np.sqrt(sum((m * grid.wavenumber_scale) ** 2 for m in modes))
 
 
 def _cut_half(coeffs: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
@@ -380,13 +368,13 @@ def _cut_half(coeffs: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
     n = grid.points_per_axis
     if band >= n // 2:
         return _half(coeffs, grid)
-    return coeffs[(...,) + _cube_index(n, band, grid.dim, half=True)]
+    return coeffs[(...,) + _cube_index(n, band, grid.dim)]
 
 
 def _in_band(coeffs: np.ndarray, grid: TorusGrid, band: int) -> bool:
     """Whether the half lattice of coefficients is zero outside the cube
     |m_i| <= band: a test for any nonzero in the slab m_last > band and, per
-    leading axis, the slab |m_axis| > band, cheaper than _support_band."""
+    leading axis, the slab |m_axis| > band."""
     n, dim = grid.points_per_axis, grid.dim
     if band >= n // 2:
         return True
@@ -397,13 +385,6 @@ def _in_band(coeffs: np.ndarray, grid: TorusGrid, band: int) -> bool:
         pick[axis] = slice(band + 1, n - band)
         slabs.append(half[(...,) + tuple(pick)])
     return not any(np.any(s) for s in slabs)
-
-
-def _support_band(a: np.ndarray, dim: int) -> int:
-    """Smallest band whose cube holds every nonzero of a lattice or cube array."""
-    coords = np.nonzero(np.any(a != 0, axis=tuple(range(a.ndim - dim))))
-    # index i of an FFT-ordered axis of side n is the mode of magnitude min(i, n - i)
-    return max((int(np.max(np.minimum(c, n - c))) for c, n in zip(coords, a.shape[-dim:]) if c.size), default=0)
 
 
 def _spread(a: np.ndarray, axis: int, n: int, band: int) -> np.ndarray:
@@ -437,20 +418,19 @@ def _rfft(samples: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.n
 def _irfft(coeffs: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.ndarray:
     """Real samples of the Hermitian spectrum whose half lattice coeffs holds.
 
-    With a band K < N/2, coeffs is a cube (the half cube of _rfft or a full
-    cube of _cube) and only its half cube is read: ifft on the leading axes
-    in order, each over the lines that are not zero, then one irfft on the
-    last axis, numpy's irfftn order.  It equals irfftn of the cube's
-    zero-filled lattice bit for bit.
+    With a band K < N/2, coeffs is the half cube of K (as _rfft and
+    _cut_half make it): ifft on the leading axes in order, each over the
+    lines that are not zero, then one irfft on the last axis, numpy's
+    irfftn order.  It equals irfftn of the zero-filled half lattice bit for
+    bit.
     """
     n = grid.points_per_axis
     if band is None or band >= n // 2:
         half = _half(coeffs, grid)
         return np.fft.irfftn(half, s=grid.shape, axes=_axes(half, grid), norm="forward")
-    a = coeffs[..., : band + 1]
-    for axis in _axes(a, grid)[:-1]:
-        a = np.fft.ifft(_spread(a, axis, n, band), axis=axis, norm="forward")
-    return np.fft.irfft(a, n=n, axis=-1, norm="forward")
+    for axis in _axes(coeffs, grid)[:-1]:
+        coeffs = np.fft.ifft(_spread(coeffs, axis, n, band), axis=axis, norm="forward")
+    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
 
 
 # (destination, source) slices mapping lattice index i to (-i) mod N
@@ -488,10 +468,14 @@ def _full(half: np.ndarray, grid: TorusGrid, n: int | None = None) -> np.ndarray
 def _complete(half: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
     """The Hermitian lattice coefficients whose half cube of band (half
     lattice when band >= N/2) is half: _full completes the cube, which is
-    then zero-filled to the lattice."""
+    then copied corner by corner into a zero lattice with basic slices."""
     if band >= grid.points_per_axis // 2:
         return _full(half, grid)
-    return _uncube(_full(half, grid, 2 * band + 1), grid, band)
+    cube = _full(half, grid, 2 * band + 1)
+    out = np.zeros(cube.shape[: -grid.dim] + grid.shape, dtype=np.complex128)
+    for runs in itertools.product(_band_runs(grid.points_per_axis, band), repeat=grid.dim):
+        out[(...,) + tuple(r[0] for r in runs)] = cube[(...,) + tuple(r[1] for r in runs)]
+    return out
 
 
 def _forward_band(samples: np.ndarray, grid: TorusGrid, band: int) -> SpectralField:

@@ -39,8 +39,8 @@ class TestVerify:
         assert len(built) <= 2
 
     def test_partition_suite_reads_the_cubes(self):
-        # the unity and disjointness checks run on the nested cubes: a 128^3
-        # partition keeps 2.3 MB of them, where its dense stack is 84 MB
+        # the unity and disjointness checks run on the nested half cubes: a
+        # 128^3 partition keeps 1.1 MB of them, where its dense stack is 84 MB
         build_partition.cache_clear()
         tracemalloc.start()
         try:
@@ -236,6 +236,22 @@ BAD_VALUES = [
     ["sweep", "--alpha", "abc"],
     ["sweep", "--n", "16.5"],
     ["verify", "--suite", "all", "--n", "12"],
+    # numpy rejects a negative seed only once a command is running
+    ["solve", "--seed", "-1"],
+    ["pipeline", "--seed", "-1"],
+    ["verify", "--suite", "all", "--seed", "-1"],
+    ["sweep", "--seed", "-1"],
+    # NaN fails every x < 0 or x <= 0 comparison
+    ["solve", "--alpha", "nan"],
+    ["solve", "--nu", "nan"],
+    ["solve", "--data-norm", "nan"],
+    ["solve", "--t-end", "inf"],
+    ["pipeline", "--alpha", "nan"],
+    ["pipeline", "--epsilon", "nan"],
+    ["pipeline", "--q", "nan"],
+    ["pipeline", "--data-scale", "nan"],
+    ["sweep", "--t-end", "0"],
+    ["sweep", "--data-norm", "nan"],
 ]
 
 BAD_CONFIGS = [(command, text, "--n") for command in ("solve", "pipeline", "verify")
@@ -261,6 +277,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"argument {flag}: invalid" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "solve", "pipeline", "sweep"])
+    def test_config_seed_meets_the_flags_check(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        out = tmp_path / "o"
+        assert exit_code([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"{command}: --seed must be >= 0, got -1"]
         assert not out.exists()
 
     def test_sweep_config_list_is_usage_error(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lanslab import (
     BesovIndex,
@@ -20,7 +21,6 @@ from lanslab import (
     random_band_limited,
 )
 from lanslab.littlewood_paley import smooth_lowpass_profile
-from lanslab.spectral import _cube_index, _support_band
 
 VOLUME_3D = (2.0 * np.pi) ** 3
 COS_NORM = np.sqrt(VOLUME_3D / 2.0)  # L2 norm of a single cosine mode
@@ -64,10 +64,11 @@ class TestPartitionStructure:
     @pytest.mark.parametrize("grid", [TorusGrid(3, 32), TorusGrid(3, 32, box_length=5.0), TorusGrid(2, 64)], ids=str)
     def test_unity_defect_equals_the_dense_sum(self, grid):
         # perturbed profiles, so that the defect is not 0: the sum over the
-        # nested cubes equals the dense stack's sum bit for bit
+        # nested cubes equals the dense stack's sum bit for bit.  The
+        # perturbation is a function of the profile's value, so it keeps
+        # psi(-k) = psi(k), which the half cubes store
         part = DyadicPartition(grid, build_partition(grid).j_max)
-        rng = np.random.default_rng(1)
-        part.cubes = [c * (1.0 + 1e-3 * rng.standard_normal(c.shape)) for c in part.cubes]
+        part.cubes = [c * (1.0 + 1e-3 * np.sin(7.0 * c)) for c in part.cubes]
         defect = part.unity_defect
         assert "multipliers" not in vars(part)
         dense = np.sum(part.multipliers, axis=0)[grid.k_magnitude <= 2.0**part.j_max]
@@ -221,7 +222,7 @@ ORACLE_GRIDS = [TorusGrid(2, 32), TorusGrid(3, 16), TorusGrid(3, 32), TorusGrid(
 
 
 class TestCubeStorage:
-    """Block norms come from each shell's bounding cube; the dense rule
+    """Block norms come from each shell's half cube; the dense rule
     lp_norm(SpectralField(grid, f.coeffs * multipliers[j]), p) is the oracle."""
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=str)
@@ -237,15 +238,16 @@ class TestCubeStorage:
         want = [dense(j, 2.0) for j in range(part.j_max + 1)]
         np.testing.assert_allclose(part.block_lp_norms(f, 2.0), want, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=str)
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS + [TorusGrid(3, 32, box_length=2.0 * np.pi / 32)], ids=str)
     def test_cubes_are_the_tight_support_boxes(self, grid):
+        # every nonzero of the dense profile has max |m_i| <= band, and one
+        # has max |m_i| == band unless the shell holds no lattice point
         part = build_partition(grid)
+        max_mode = np.max(np.broadcast_arrays(*[np.abs(m) for m in grid.mode_numbers]), axis=0)
         for j, band in enumerate(part.bands):
-            dense = part.multipliers[j]
-            outside = np.ones(grid.shape, dtype=bool)
-            outside[_cube_index(grid.points_per_axis, band, grid.dim)] = False
-            assert not np.any(dense[outside]), f"j={j}"
-            assert _support_band(dense, grid.dim) == band, f"j={j}"
+            support = max_mode[part.multipliers[j] != 0.0]
+            assert part.cubes[j].shape == (2 * band + 1,) * (grid.dim - 1) + (band + 1,), f"j={j}"
+            assert band == (np.max(support) if support.size else 0), f"j={j}"
 
     def test_block_paths_read_no_dense_stack(self, part32, grid32, rng):
         part = DyadicPartition(grid32, part32.j_max)
@@ -257,7 +259,7 @@ class TestCubeStorage:
         assert "multipliers" not in vars(part)
 
     def test_128_partition_is_cube_sized(self):
-        # the dense stack of a 128^3 partition is 84 MB; its cubes are 2.5 MB
+        # the dense stack of a 128^3 partition is 84 MB; its half cubes are 1.1 MB
         grid = TorusGrid(3, 128)
         coeffs = np.zeros(grid.shape, dtype=np.complex128)
         coeffs[4, 0, 0] = coeffs[-4, 0, 0] = 0.5  # cos(4 x1) lies in shell 2 alone
@@ -271,6 +273,33 @@ class TestCubeStorage:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert kept < 4 * 2**20
+        assert kept < 2 * 2**20
         assert p2 == pytest.approx(COS_NORM, rel=1e-12)
         assert p4 == pytest.approx((3.0 / 8.0 * VOLUME_3D) ** 0.25, rel=1e-12)  # mean of cos^4 is 3/8
+
+
+PROPERTY_GRIDS = [TorusGrid(2, 32), TorusGrid(2, 64), TorusGrid(3, 16), TorusGrid(3, 32), TorusGrid(3, 64),
+                  TorusGrid(3, 32, box_length=5.0), TorusGrid(3, 32, box_length=2.0 * np.pi / 32)]
+
+
+class TestPartitionOperators:
+    """delta_j, s_j and kernel equal their dense multipliers bit for bit on
+    Hermitian data; multipliers[j] is the shell formula (checked above)."""
+
+    @pytest.mark.parametrize("grid", PROPERTY_GRIDS, ids=str)
+    @given(data=st.data())
+    def test_operators_equal_the_dense_multipliers(self, grid, data):
+        part = build_partition(grid)
+        rank = data.draw(st.integers(0, 1))
+        j = data.draw(st.integers(-1, part.j_max + 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        f = forward_transform(rng.standard_normal((grid.dim,) * rank + grid.shape), grid)
+        if 0 <= j <= part.j_max:
+            assert np.array_equal(part.delta_j(f, j).coeffs, f.coeffs * part.multipliers[j])
+            kernel = part.multipliers[j].astype(np.complex128) / grid.box_length**grid.dim
+            assert np.array_equal(part.kernel(j).coeffs, kernel)
+        if j < 0:
+            expected = np.zeros_like(f.coeffs)  # S_(-1) is the empty sum
+        else:
+            expected = f.coeffs * smooth_lowpass_profile(grid.k_magnitude / 2.0 ** (min(j, part.j_max) + 1))
+        assert np.array_equal(part.s_j(f, j).coeffs, expected)

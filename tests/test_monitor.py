@@ -91,6 +91,26 @@ class TestCancellations:
         bad = u + spoiler * (1.0 / l2_norm(spoiler))
         assert cancellation_check(bad, alpha=0.2).max_normalized > 1e-3
 
+    def test_u_and_its_jacobian_are_transformed_once(self, grid16, monkeypatch):
+        # unpruned n-D transforms, one scalar FFT per leading index: u (3)
+        # and its Jacobian (9) once, Lap u (3) and its Jacobian (9), and
+        # three vector forward transforms (9); the kernel's are pruned
+        n = grid16.points_per_axis
+        scalar = []
+
+        def counting(original):
+            def wrapped(a, *args, **kwargs):
+                out = original(a, *args, **kwargs)
+                scalar.append(max(np.asarray(a).size, out.size) // n**3)
+                return out
+
+            return wrapped
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+        cancellation_check(mk_field(grid16, 0, 1.0), alpha=0.2)
+        assert sum(scalar) == 33
+
     def test_raw_values_cubic_in_amplitude(self, grid16):
         u = mk_field(grid16, 1, 1.0)
         r1 = cancellation_check(u, alpha=0.2)

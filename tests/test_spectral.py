@@ -35,7 +35,7 @@ from lanslab import (
     sobolev_norm,
 )
 from lanslab.dynamics import _flux
-from lanslab.spectral import _cube, _cube_index, _forward_band, _irfft, _rfft, _support_band
+from lanslab.spectral import _cube_index, _cut_half, _forward_band, _half_k_squared, _irfft, _rfft
 from conftest import mirrored, zero_field
 
 # volume of the unit torus [0, 2pi)^3; sqrt of it is the L2 norm of f == 1
@@ -185,7 +185,7 @@ class TestBandTransforms:
         if band >= n // 2:
             assert np.array_equal(got, half)
         else:
-            assert np.array_equal(got, half[(...,) + _cube_index(n, band, dim, half=True)])
+            assert np.array_equal(got, half[(...,) + _cube_index(n, band, dim)])
         full = forward_transform(samples, grid).coeffs
         assert np.array_equal(_forward_band(samples, grid, band).coeffs, full * cube_mask(grid, band))
 
@@ -202,7 +202,7 @@ class TestBandTransforms:
             return
         truncated = np.where(cube_mask(grid, band), full, 0.0)
         expected = inverse_transform(SpectralField(grid, truncated))
-        assert np.array_equal(_irfft(_cube(full, band, dim), grid, band), expected)
+        assert np.array_equal(_irfft(_cut_half(full, grid, band), grid, band), expected)
 
     @pytest.mark.parametrize("grid", BAND_GRIDS, ids=str)
     def test_dealias_cube_is_dealias(self, grid, rng):
@@ -210,12 +210,12 @@ class TestBandTransforms:
         expected = dealias(forward_transform(samples, grid)).coeffs
         assert np.array_equal(_forward_band(samples, grid, grid.dealias_keep).coeffs, expected)
 
-    def test_support_band_is_the_smallest_holding_cube(self, grid16):
-        a = np.zeros((3,) + grid16.shape)
-        assert _support_band(a, 3) == 0
-        a[1, 0, -5, 2] = 1.0
-        assert _support_band(a, 3) == 5
-        assert _support_band(_cube(a, 5, 3), 3) == 5
+    @pytest.mark.parametrize("grid", BAND_GRIDS, ids=str)
+    def test_half_k_squared_is_the_lattice_cut(self, grid):
+        n = grid.points_per_axis
+        for band in range(n // 2 + 2):
+            got = _half_k_squared(grid, band)
+            assert np.array_equal(got, _cut_half(grid.k_squared, grid, band)), f"band={band}"
 
 
 def mean_free(f):
@@ -366,6 +366,17 @@ class TestLerayProjection:
         once = leray_project(u)
         twice = leray_project(once)
         np.testing.assert_allclose(twice.coeffs, once.coeffs, atol=1e-14)
+
+    @pytest.mark.parametrize("grid", [TorusGrid(2, 32), TorusGrid(3, 16), TorusGrid(3, 32, box_length=5.0)], ids=str)
+    @given(seed=st.integers(0, 2**31), alpha=st.floats(0.0, 2.0))
+    def test_idempotent_and_commutes_with_helmholtz_inverse(self, grid, seed, alpha):
+        u = forward_transform(np.random.default_rng(seed).standard_normal((grid.dim,) + grid.shape), grid)
+        once = leray_project(u)
+        scale = np.linalg.norm(once.coeffs)
+        assert np.linalg.norm(leray_project(once).coeffs - once.coeffs) <= 1e-15 * scale
+        a = leray_project(helmholtz_inverse(u, alpha)).coeffs
+        b = helmholtz_inverse(leray_project(u), alpha).coeffs
+        assert np.linalg.norm(a - b) <= 1e-15 * np.linalg.norm(b)
 
     def test_output_is_solenoidal(self, grid16, rng):
         u = forward_transform(rng.standard_normal((3,) + grid16.shape), grid16)
