@@ -14,6 +14,12 @@ verifier picks a construction that puts mass where its bound is tight:
   estimates.
 
 All generators are deterministic functions of a numpy Generator.
+
+Each field is formed on the half cube |m_i| <= K, m_last >= 0 of its ball's
+band K (spectral's band layout): mask, envelope, decay and phases act on
+that cube only, and _complete turns it into lattice coefficients once.
+random_band_limited caps K at the dealias band, so its fields are
+dealiased; shell_field does not.
 """
 
 from __future__ import annotations
@@ -27,8 +33,11 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _ball_band,
-    _forward_band,
-    dealias,
+    _complete,
+    _half_cube,
+    _half_indices,
+    _hermitian_planes,
+    _rfft,
     leray_project,
 )
 
@@ -60,30 +69,33 @@ def band_mask(grid: TorusGrid, k_min: float, k_max: float) -> np.ndarray:
     return (r >= k_min) & (r <= k_max)
 
 
-def _hermitian_noise(grid: TorusGrid, rng: np.random.Generator, lead: tuple, radius: float) -> np.ndarray:
-    """Coefficients of white physical noise, Hermitian by construction, cut
-    to the cube of the ball |k| <= radius: callers multiply by a mask
-    inside that ball next, so only the cube is transformed."""
-    samples = rng.standard_normal(lead + grid.shape)
-    return _forward_band(samples, grid, _ball_band(grid, radius)).coeffs
+def _hermitian_noise(grid: TorusGrid, rng: np.random.Generator, lead: tuple, band: int) -> np.ndarray:
+    """The half cube of band of the coefficients of white physical noise,
+    its self-mirrored planes already Hermitian: callers weight it there by
+    real functions of |k| before _complete, which then leaves those planes
+    as they are, so weighting commutes with completion."""
+    half = _rfft(rng.standard_normal(lead + grid.shape), grid, band)
+    _hermitian_planes(half, grid, band)
+    return half
 
 
-def _coherent_phases(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
-    """exp(-i k.x0) for one random center x0: a translated point mass.
+def _coherent_phases(grid: TorusGrid, rng: np.random.Generator, band: int) -> np.ndarray:
+    """exp(-i k.x0) on the half cube of band for one random center x0: a
+    translated point mass.
 
     x0 snaps to a grid node so the physical-space peak is actually sampled;
     an off-lattice center under-reads max norms at high frequency.  With x0
     at grid index j the phase is a product of per-axis roots of unity
     w[(m j) mod N], w[r] = exp(-2 pi i r/N), whose table holds -1 exactly
-    at N/2 and conjugate mirrors above it, so the result is exactly
-    Hermitian.
+    at N/2 and conjugate mirrors above it, so the completed phases are
+    exactly Hermitian.
     """
     n = grid.points_per_axis
     index = rng.integers(0, n, size=grid.dim)
     w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
     w[n // 2] = -1.0
     w = np.concatenate([w, np.conj(w[n // 2 - 1 : 0 : -1])])
-    return functools.reduce(np.multiply.outer, [w[np.arange(n) * j % n] for j in index])
+    return functools.reduce(np.multiply.outer, [w[m * j % n] for m, j in zip(_half_indices(grid, band), index)])
 
 
 def random_band_limited(
@@ -96,7 +108,8 @@ def random_band_limited(
     coherent: bool = False,
     zero_mean: bool = True,
 ) -> SpectralField:
-    """Real random field supported on the spherical band [k_min, k_max].
+    """Real random field supported on the spherical band [k_min, k_max],
+    dealiased.
 
     decay > 0 multiplies coefficients by |k|^(-decay).  coherent=True uses a
     common translated-point-mass phase instead of random phases (with a mild
@@ -105,26 +118,27 @@ def random_band_limited(
     rng = as_rng(rng)
     if k_max is None:
         k_max = coverage_k_max(grid)
-    mask = band_mask(grid, k_min, k_max)
+    if not k_max >= 0.0:  # NaN too
+        raise ValueError(f"k_max must be a nonnegative number, got {k_max}")
+    if not k_min <= k_max:
+        raise ValueError(f"k_min must be a number no larger than k_max = {k_max}, got {k_min}")
+    band = min(_ball_band(grid, k_max), grid.dealias_keep)
+    r = np.sqrt(_half_cube(grid, band).k_squared)  # grid.k_magnitude there
+    mask = (r >= k_min) & (r <= k_max)
     if coherent:
         jitter = 1.0 + 0.05 * rng.standard_normal()  # same for +-k: keeps symmetry
-        coeffs = _coherent_phases(grid, rng) * mask * jitter
-        coeffs = np.broadcast_to(coeffs, lead + grid.shape).copy()
+        coeffs = _coherent_phases(grid, rng, band) * mask * jitter
         if lead:
             comp_scale = 1.0 + 0.1 * np.arange(int(np.prod(lead)))
-            coeffs *= comp_scale.reshape(lead + (1,) * grid.dim)
+            coeffs = coeffs * comp_scale.reshape(lead + (1,) * grid.dim)
     else:
-        coeffs = _hermitian_noise(grid, rng, lead, k_max) * mask
+        coeffs = _hermitian_noise(grid, rng, lead, band) * mask
     if decay != 0.0:
-        r = grid.k_magnitude.copy()
         r[r == 0.0] = 1.0
         coeffs = coeffs * r ** (-decay)
     if zero_mean:
         coeffs[(...,) + (0,) * grid.dim] = 0.0
-    field = SpectralField(grid, coeffs)
-    # the coefficients lie in the cube of the ball |k| <= k_max, so dealias
-    # changes nothing when that cube is inside the dealias cube
-    return field if _ball_band(grid, k_max) <= grid.dealias_keep else dealias(field)
+    return SpectralField(grid, _complete(coeffs, grid, band))
 
 
 def random_solenoidal(
@@ -155,19 +169,19 @@ def shell_field(
     """
     lo = 2.0 ** (j - 1)
     hi = 2.0 ** (j + 1)
-    r = grid.k_magnitude
+    # the envelope lives on |k| < hi, the ball just inside |k| <= hi
+    band = _ball_band(grid, np.nextafter(hi, 0.0))
+    r = np.sqrt(_half_cube(grid, band).k_squared)  # grid.k_magnitude there
     mask = (r > lo) & (r < hi)
     if not np.any(mask):
         raise ValueError(f"shell {j} holds no lattice points on this grid")
     envelope = np.exp(-(((r - 2.0**j) / (0.35 * 2.0**j)) ** 2)) * mask
     rng = as_rng(rng)
     if coherent:
-        coeffs = _coherent_phases(grid, rng) * envelope
-        coeffs = np.broadcast_to(coeffs, lead + grid.shape).copy()
+        coeffs = np.broadcast_to(_coherent_phases(grid, rng, band) * envelope, lead + envelope.shape)
     else:
-        # the envelope lives on |k| < hi, the ball just inside |k| <= hi
-        coeffs = _hermitian_noise(grid, rng, lead, np.nextafter(hi, 0.0)) * envelope
-    return SpectralField(grid, coeffs)
+        coeffs = _hermitian_noise(grid, rng, lead, band) * envelope
+    return SpectralField(grid, _complete(coeffs, grid, band))
 
 
 def power_law_field(

@@ -23,9 +23,10 @@ thrown away on output (FFT pruning; Markel 1971, Sorensen & Burrus 1993),
 and equal truncate-then-transform bit for bit.  _forward_band(x, grid,
 grid.dealias_keep) is dealias(forward_transform(x, grid)) made that way.
 The dyadic partition's profiles, the Besov block norms, the verifiers'
-products, the band-limited ensembles and the nonlinearity kernel use the
-band mode; the kernel's multipliers act on arrays built once per band
-(_HalfCube), and _half_k_squared gives |k|^2 there afresh.
+products, the field ensembles, heat_propagate and the nonlinearity kernel
+use the band mode; the kernel's, heat_propagate's and the ensembles'
+multipliers act on arrays built once per band (_HalfCube), and
+_half_k_squared gives |k|^2 there afresh.
 
 Nyquist policy: on the full lattice the index N/2 of an axis is the
 frequency -N/2, whose mirror image is itself, so the odd multiplier i k
@@ -43,7 +44,7 @@ every coefficient whose max-norm frequency exceeds dealias_fraction * N/2.
 Lattice arrays (mesh, k_squared, k_magnitude, dealias_mask and the Leray
 projection's |k|^2) are built once per grid value, read-only, and shared
 by equal TorusGrid objects through a small module cache; so are the
-half-cube arrays of each grid value and band.
+half-cube arrays of each grid value and band, each built on first use.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -226,22 +226,18 @@ def _lattice(grid: TorusGrid) -> _Lattice:
     return _Lattice(grid)
 
 
-class _HalfCube(NamedTuple):
-    """Read-only multiplier arrays on the half cube |m_i| <= band, m_last >= 0
-    of one grid value (the rfftn half lattice when band >= N/2)."""
-
-    wavenumbers: list  # TorusGrid.wavenumbers there, broadcastable
-    k_squared: np.ndarray
-    leray_k_squared: np.ndarray
+def _half_indices(grid: TorusGrid, band: int) -> list:
+    """Lattice indices along each axis of the half cube of band (the half
+    lattice when band >= N/2)."""
+    n = grid.points_per_axis
+    lead = np.arange(n) if band >= n // 2 else _band_axis(n, band)
+    return [lead] * (grid.dim - 1) + [lead[: min(band, n // 2) + 1]]
 
 
 def _half_axes(per_axis: list, grid: TorusGrid, band: int) -> list:
     """Broadcastable per-axis arrays of the lattice cut to the half cube of
     band (the half lattice when band >= N/2)."""
-    n, dim = grid.points_per_axis, grid.dim
-    lead = np.arange(n) if band >= n // 2 else _band_axis(n, band)
-    last = lead[: min(band, n // 2) + 1]
-    return [np.take(a, last if i == dim - 1 else lead, axis=i) for i, a in enumerate(per_axis)]
+    return [np.take(a, index, axis=i) for i, (a, index) in enumerate(zip(per_axis, _half_indices(grid, band)))]
 
 
 def _half_k_squared(grid: TorusGrid, band: int) -> np.ndarray:
@@ -250,15 +246,36 @@ def _half_k_squared(grid: TorusGrid, band: int) -> np.ndarray:
     return sum((m * grid.wavenumber_scale) ** 2 for m in _half_axes(grid.mode_numbers, grid, band))
 
 
+class _HalfCube:
+    """Read-only multiplier arrays on the half cube |m_i| <= band, m_last >= 0
+    of one grid value (the rfftn half lattice when band >= N/2), each built
+    on first use from the grid's per-axis modes by _Lattice's formulas, so
+    they equal the lattice arrays cut to the cube bit for bit.  The
+    ensembles and heat_propagate read only k_squared."""
+
+    def __init__(self, grid: TorusGrid, band: int):
+        self.grid, self.band = grid, band
+
+    @cached_property
+    def wavenumbers(self) -> list:
+        """TorusGrid.wavenumbers there, broadcastable."""
+        return [_frozen(k) for k in _half_axes(self.grid.wavenumbers, self.grid, self.band)]
+
+    @cached_property
+    def k_squared(self) -> np.ndarray:
+        return _frozen(_half_k_squared(self.grid, self.band))
+
+    @cached_property
+    def leray_k_squared(self) -> np.ndarray:
+        ksq = sum(k**2 for k in self.wavenumbers)
+        ksq[ksq == 0.0] = 1.0
+        return _frozen(ksq)
+
+
 @lru_cache(maxsize=8)
 def _half_cube(grid: TorusGrid, band: int) -> _HalfCube:
-    """The shared half-cube arrays of a grid value and band, cut from the
-    grid's per-axis modes and formed by _Lattice's formulas, so they equal
-    the lattice arrays cut to the cube bit for bit."""
-    wavenumbers = [_frozen(k) for k in _half_axes(grid.wavenumbers, grid, band)]
-    leray_ksq = sum(k**2 for k in wavenumbers)
-    leray_ksq[leray_ksq == 0.0] = 1.0
-    return _HalfCube(wavenumbers, _frozen(_half_k_squared(grid, band)), _frozen(leray_ksq))
+    """The shared half-cube arrays of a grid value and band."""
+    return _HalfCube(grid, band)
 
 
 @dataclass
@@ -444,6 +461,20 @@ def _conj_mirror(src: np.ndarray, out: np.ndarray, grid: TorusGrid, last: tuple)
         np.conjugate(src[(...,) + tuple(p[1] for p in picks)], out=out[(...,) + tuple(p[0] for p in picks)])
 
 
+def _hermitian_planes(half: np.ndarray, grid: TorusGrid, band: int):
+    """Replace the self-mirrored planes of the half cube of band (the half
+    lattice when band >= N/2) by their Hermitian part (c(k) + conj c(-k))/2,
+    in place: k_last = 0, and k_last = N/2 on the half lattice.  On planes
+    that are already Hermitian this changes nothing."""
+    n = grid.points_per_axis
+    for m in (0, n // 2) if band >= n // 2 else (0,):
+        plane = half[..., m : m + 1]
+        mirror = np.empty_like(plane)
+        _conj_mirror(plane, mirror, grid, ((slice(None), slice(None)),))
+        plane += mirror
+        plane *= 0.5
+
+
 def _full(half: np.ndarray, grid: TorusGrid, n: int | None = None) -> np.ndarray:
     """Hermitian completion of half-lattice coefficients to the full lattice,
     or of a half cube to the full cube of odd side n.
@@ -455,12 +486,7 @@ def _full(half: np.ndarray, grid: TorusGrid, n: int | None = None) -> np.ndarray
     n = grid.points_per_axis if n is None else n
     out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
     out[..., : n // 2 + 1] = half
-    for m in (0, n // 2) if n % 2 == 0 else (0,):
-        plane = out[..., m : m + 1]
-        mirror = np.empty_like(plane)
-        _conj_mirror(half, mirror, grid, ((slice(None), slice(m, m + 1)),))
-        plane += mirror
-        plane *= 0.5
+    _hermitian_planes(out[..., : n // 2 + 1], grid, n // 2)
     _conj_mirror(half, out[..., n // 2 + 1 :], grid, ((slice(None), slice((n - 1) // 2, 0, -1)),))
     return out
 
@@ -566,10 +592,18 @@ def helmholtz_inverse(field: SpectralField, alpha: float) -> SpectralField:
 
 
 def heat_propagate(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField:
-    """Exact heat semigroup exp(nu t Lap) as a diagonal multiplier; t >= 0."""
+    """Exact heat semigroup exp(nu t Lap) as a diagonal multiplier; t >= 0.
+
+    The multiplier is formed and applied on the dealias half cube when f
+    lies in it (_in_band), else on the half lattice, and the result is
+    completed from there: for Hermitian f it equals the lattice multiply.
+    """
     if t < 0:
         raise ValueError(f"heat propagation needs t >= 0, got {t}")
-    return _apply_multiplier(f, np.exp(-nu * t * f.grid.k_squared))
+    grid = f.grid
+    band = grid.dealias_keep if _in_band(f.coeffs, grid, grid.dealias_keep) else grid.points_per_axis // 2
+    half = _cut_half(f.coeffs, grid, band) * np.exp(-nu * t * _half_cube(grid, band).k_squared)
+    return SpectralField(grid, _complete(half, grid, band))
 
 
 def leray_project(field: SpectralField) -> SpectralField:
@@ -599,30 +633,48 @@ def _leray(coeffs: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.n
     return out
 
 
-def _pointwise_magnitude(samples: np.ndarray, rank: int) -> np.ndarray:
-    if rank == 0:
-        return np.abs(samples)
-    flat = samples.reshape((-1,) + samples.shape[rank:])
-    return np.sqrt(np.sum(np.abs(flat) ** 2, axis=0))
-
-
 def lp_norm(field: SpectralField, p: float) -> float:
     """Physical-space L^p norm by equal-weight quadrature; p = inf -> max.
 
     Vector and tensor fields use the pointwise Euclidean (Frobenius)
-    magnitude before the quadrature.
+    magnitude before the quadrature; integer p takes it as a product of
+    squared magnitudes (_lp_quadrature).
     """
-    if p != np.inf and p < 1:
+    if not p >= 1:  # NaN too
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     return _lp_quadrature(inverse_transform(field), field.rank, field.grid, p)
 
 
 def _lp_quadrature(samples: np.ndarray, rank: int, grid: TorusGrid, p: float) -> float:
-    """L^p norm of physical samples of a rank-`rank` field by equal-weight quadrature."""
-    mag = _pointwise_magnitude(samples, rank)
-    if p == np.inf:
-        return float(np.max(mag))
-    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+    """L^p norm of physical samples of a rank-`rank` field by equal-weight quadrature.
+
+    Integer p sums products of the squared magnitude |f|^2 (a square for
+    rank 0, a sum of squares over the lead axes otherwise), raised to p // 2
+    by repeated squaring, with one |f| factor for odd p: no sqrt for even p
+    and no pow.  Other p use |f|**p, and p = inf the max of |f|.
+    """
+    flat = samples.reshape((-1,) + samples.shape[rank:])
+    if p == np.inf or p != int(p):
+        mag = np.sqrt(np.sum(np.abs(flat) ** 2, axis=0)) if rank else np.abs(samples)
+        if p == np.inf:
+            return float(np.max(mag))
+        return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+    sq = flat[0] * flat[0]
+    for c in flat[1:]:
+        sq += c * c
+    k, odd = divmod(int(p), 2)
+    power = _integer_power(sq, k) if k else 1.0
+    if odd:
+        power = power * (np.sqrt(sq) if rank else np.abs(samples))
+    return float((np.sum(power) * grid.cell_volume) ** (1.0 / p))
+
+
+def _integer_power(base: np.ndarray, k: int) -> np.ndarray:
+    """base**k for an integer k >= 1 by repeated squaring (base itself for k = 1)."""
+    if k == 1:
+        return base
+    power = _integer_power(base * base, k // 2)
+    return power * base if k % 2 else power
 
 
 def l2_norm(field: SpectralField) -> float:

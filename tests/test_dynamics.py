@@ -382,6 +382,17 @@ class TestHeatPropagator:
         with pytest.raises(ValueError):
             heat_propagate(band_field(grid16_mod, 3), -0.1)
 
+    @pytest.mark.parametrize("grid", [TorusGrid(dim=3, points_per_axis=16), TorusGrid(dim=2, points_per_axis=32),
+                                      TorusGrid(dim=3, points_per_axis=16, box_length=5.0)], ids=str)
+    @given(seed=st.integers(0, 2**31), rank=st.integers(0, 2), in_cube=st.booleans(), t=st.floats(0.0, 0.5))
+    def test_equals_the_lattice_multiply(self, grid, seed, rank, in_cube, t):
+        # Hermitian data inside the dealias cube (the half-cube path) and
+        # filling the lattice (the half-lattice path)
+        f = forward_transform(np.random.default_rng(seed).standard_normal((grid.dim,) * rank + grid.shape), grid)
+        f = dealias(f) if in_cube else f
+        want = f.coeffs * np.exp(-0.7 * t * grid.k_squared)
+        assert np.array_equal(heat_propagate(f, t, 0.7).coeffs, want)
+
 
 class TestMarcher:
     def test_nonlinearity_off_equals_heat_flow(self, cfg16, grid16_mod):

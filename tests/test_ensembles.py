@@ -13,13 +13,14 @@ from lanslab import (
     coverage_k_max,
     inverse_transform,
     l2_norm,
+    leray_project,
     power_law_field,
     random_band_limited,
     random_solenoidal,
     relative_divergence,
     shell_field,
 )
-from conftest import mirrored
+from conftest import lattice_band_limited, lattice_shell, mirrored
 
 
 class TestFactoryBasics:
@@ -131,7 +132,8 @@ GENERATORS = {
     "random_band_limited": lambda g, rng, coherent, lead: random_band_limited(
         g, rng, k_max=float(g.points_per_axis), lead=lead, decay=0.5, coherent=coherent),
     "random_solenoidal": lambda g, rng, coherent, lead: random_solenoidal(g, rng, k_max=float(g.points_per_axis)),
-    "power_law_field": lambda g, rng, coherent, lead: power_law_field(g, rng, 1.5, coherent=coherent, lead=lead),
+    "power_law_field": lambda g, rng, coherent, lead: power_law_field(
+        g, rng, 1.5, k_max=float(g.points_per_axis), coherent=coherent, lead=lead),
 }
 GENERATOR_CASES = [(name, coherent) for name in GENERATORS for coherent in (False, True)
                    if not (name == "random_solenoidal" and coherent)]
@@ -154,3 +156,90 @@ class TestExactlyHermitian:
     def test_band_generators(self, name, coherent, grid, seed, vector):
         f = GENERATORS[name](grid, as_rng(seed), coherent, (grid.dim,) if vector else ())
         assert np.array_equal(mirrored(f.coeffs, grid.dim), np.conj(f.coeffs))
+
+
+ORACLE_GRIDS = [TorusGrid(dim=3, points_per_axis=16), TorusGrid(dim=3, points_per_axis=32),
+                TorusGrid(dim=2, points_per_axis=32), TorusGrid(dim=3, points_per_axis=16, box_length=5.0)]
+ORACLE_IDS = [f"{g.points_per_axis}^{g.dim}-L{g.box_length:.3g}" for g in ORACLE_GRIDS]
+# the ball's cube lies inside the dealias cube, reaches past it, or is the
+# whole lattice (band N/2)
+BALLS = {
+    "inside": lambda g: 3.0,
+    "beyond": lambda g: 0.75 * (g.points_per_axis / 2) * g.wavenumber_scale,
+    "nyquist": lambda g: float(g.points_per_axis) * g.wavenumber_scale,
+}
+
+
+def same_draws(make, oracle, seed=11):
+    """make() and oracle() on equal generators: their fields, and whether
+    the generators end in the same state."""
+    a, b = as_rng(seed), as_rng(seed)
+    return make(a), oracle(b), a.bit_generator.state == b.bit_generator.state
+
+
+class TestLatticeOracle:
+    """Every generator equals its full-lattice construction under == and
+    draws the same numbers."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("ball", BALLS)
+    @pytest.mark.parametrize("coherent", [False, True], ids=["random", "coherent"])
+    def test_random_band_limited(self, grid, ball, coherent):
+        k_max = BALLS[ball](grid)
+        for lead in ((), (grid.dim,)):
+            for decay in (0.0, 1.5):
+                for k_min in (0.0, 1.0):
+                    kw = dict(lead=lead, decay=decay, coherent=coherent, zero_mean=k_min > 0.0)
+                    got, want, same_state = same_draws(lambda r: random_band_limited(grid, r, k_min, k_max, **kw),
+                                                       lambda r: lattice_band_limited(grid, r, k_min, k_max, **kw))
+                    case = f"lead={lead} decay={decay} k_min={k_min}"
+                    assert np.array_equal(got.coeffs, want.coeffs), case
+                    assert same_state, case
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("coherent", [False, True], ids=["random", "coherent"])
+    def test_shell_field(self, grid, coherent):
+        for j in range(int(np.log2(grid.points_per_axis)) + 1):
+            if not np.any(lattice_shell(grid, j, as_rng(0)).coeffs):
+                continue  # an empty shell raises (TestBadArguments)
+            for lead in ((), (grid.dim,)):
+                got, want, same_state = same_draws(lambda r: shell_field(grid, j, r, coherent=coherent, lead=lead),
+                                                   lambda r: lattice_shell(grid, j, r, coherent=coherent, lead=lead))
+                assert np.array_equal(got.coeffs, want.coeffs), f"j={j} lead={lead}"
+                assert same_state, f"j={j} lead={lead}"
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("ball", BALLS)
+    def test_power_law_and_solenoidal(self, grid, ball):
+        k_max = BALLS[ball](grid)
+        for coherent in (False, True):
+            got, want, same_state = same_draws(
+                lambda r: power_law_field(grid, r, 1.5, k_max=k_max, coherent=coherent),
+                lambda r: lattice_band_limited(grid, r, 2.0, k_max, decay=1.5, coherent=coherent))
+            assert np.array_equal(got.coeffs, want.coeffs) and same_state, f"coherent={coherent}"
+        got, want, same_state = same_draws(
+            lambda r: random_solenoidal(grid, r, k_max=k_max, decay=1.5),
+            lambda r: leray_project(lattice_band_limited(grid, r, 1.0, k_max, lead=(grid.dim,), decay=1.5)))
+        assert np.array_equal(got.coeffs, want.coeffs) and same_state
+
+
+BAD_BANDS = [({"k_max": float("nan")}, "k_max"), ({"k_max": -1.0}, "k_max"),
+             ({"k_min": float("nan"), "k_max": 4.0}, "k_min"), ({"k_min": 5.0, "k_max": 4.0}, "k_min")]
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("kwargs, name", BAD_BANDS, ids=[f"{n}={list(k.values())}" for k, n in BAD_BANDS])
+    @pytest.mark.parametrize("make", [
+        lambda g, rng, **kw: random_band_limited(g, rng, **kw),
+        lambda g, rng, **kw: power_law_field(g, rng, 2.0, **kw),
+        lambda g, rng, **kw: random_solenoidal(g, rng, **kw),
+    ], ids=["random_band_limited", "power_law_field", "random_solenoidal"])
+    def test_bad_band_is_a_value_error(self, grid16, rng, make, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            make(grid16, rng, **kwargs)
+
+    def test_empty_shell_is_a_value_error(self):
+        # on the 32^3 grid of side 2 pi / 32 the lattice spacing is 32, so
+        # the annulus 2 < |k| < 8 holds no point
+        with pytest.raises(ValueError, match="holds no lattice points"):
+            shell_field(TorusGrid(dim=3, points_per_axis=32, box_length=2.0 * np.pi / 32), 2, as_rng(0))

@@ -35,7 +35,7 @@ from lanslab import (
     sobolev_norm,
 )
 from lanslab.dynamics import _flux
-from lanslab.spectral import _cube_index, _cut_half, _forward_band, _half_k_squared, _irfft, _rfft
+from lanslab.spectral import _cube_index, _cut_half, _forward_band, _half_k_squared, _irfft, _lp_quadrature, _rfft
 from conftest import mirrored, zero_field
 
 # volume of the unit torus [0, 2pi)^3; sqrt of it is the L2 norm of f == 1
@@ -122,6 +122,52 @@ class TestTransforms:
     def test_lp_infinity_is_peak_value(self, grid16):
         f = single_mode(grid16, (1, 0, 0))
         assert lp_norm(f, np.inf) == pytest.approx(1.0, rel=1e-12)
+
+    def test_nan_exponents_are_value_errors(self, grid16):
+        f = single_mode(grid16, (1, 0, 0))
+        with pytest.raises(ValueError, match="^p "):
+            lp_norm(f, np.nan)
+        with pytest.raises(ValueError, match="^p "):
+            sobolev_norm(f, 1.0, np.nan)
+
+
+def power_rule(samples, rank, grid, p):
+    """(sum |f|**p dV)**(1/p) with |f| the pointwise Euclidean magnitude,
+    or max |f| for p = inf."""
+    if rank == 0:
+        mag = np.abs(samples)
+    else:
+        mag = np.sqrt(np.sum(np.abs(samples.reshape((-1,) + grid.shape)) ** 2, axis=0))
+    if p == np.inf:
+        return float(np.max(mag))
+    return float((np.sum(mag**p) * grid.cell_volume) ** (1.0 / p))
+
+
+class TestQuadrature:
+    """Integer p takes products of |f|^2 and matches the power rule to
+    roundoff; other p and p = inf are the power rule itself."""
+
+    @given(data=st.data())
+    def test_against_the_power_rule(self, data):
+        grid = TorusGrid(dim=2, points_per_axis=8, box_length=data.draw(st.sampled_from([2.0 * np.pi, 3.0])))
+        rank = data.draw(st.integers(0, 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        shape = (2,) * rank + grid.shape
+        # zeros, tiny values (10^-300 .. 10^-10) and normal values at random places
+        kind = rng.choice(3, size=shape, p=[0.2, 0.2, 0.6])
+        tiny = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, -10, size=shape)
+        samples = np.where(kind == 0, 0.0, np.where(kind == 1, tiny, rng.standard_normal(shape)))
+        samples *= data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        for p in (1, 2, 3, 4, 5, 6, 7, 8, 30):
+            want = power_rule(samples, rank, grid, p)
+            assert abs(_lp_quadrature(samples, rank, grid, float(p)) - want) <= 1e-15 * want, f"p={p}"
+            assert _lp_quadrature(samples, rank, grid, p) == _lp_quadrature(samples, rank, grid, float(p))
+        for p in (2.5, np.inf):
+            assert _lp_quadrature(samples, rank, grid, p) == power_rule(samples, rank, grid, p), f"p={p}"
+
+    def test_zero_field(self, grid16):
+        for p in (1, 2, 3, 6, 2.5, np.inf):
+            assert _lp_quadrature(np.zeros((3,) + grid16.shape), 1, grid16, p) == 0.0
 
 
 TRANSFORM_CASES = [(dim, n, rank) for dim, n in ((2, 8), (2, 16), (3, 8), (3, 16)) for rank in (0, 1, 2)]
