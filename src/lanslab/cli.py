@@ -81,7 +81,8 @@ def _suite_partition(n: int, seed: int) -> list:
     return records
 
 
-def _suite_paraproduct(n: int, seed: int, pairs: int = 5) -> list:
+def _suite_paraproduct(n: int, seed: int) -> list:
+    pairs = 5
     grid = TorusGrid(dim=3, points_per_axis=min(n, 64))
     part = build_partition(grid)
     rng = as_rng(seed)
@@ -139,7 +140,8 @@ def _suite_ladyzhenskaya(n: int, seed: int) -> list:
     ]
 
 
-def _suite_cancellation(n: int, seed: int, fields: int = 20) -> list:
+def _suite_cancellation(n: int, seed: int) -> list:
+    fields = 20
     n = min(n, 32)  # pairings are exact once 3 K_band < n; 32 keeps this snappy
     grid = TorusGrid(dim=3, points_per_axis=n)
     rng = as_rng(seed)

@@ -247,10 +247,9 @@ class Trajectory:
 
 @dataclass
 class IterationState:
-    """One Duhamel iterate: index, weighted-norm step size and its ratio to
-    the previous one."""
+    """One Duhamel iterate: weighted-norm step size and its ratio to the
+    previous one; its place in the history is its index."""
 
-    iterate_index: int
     delta_norm: float
     ratio: float | None = None
 
@@ -393,11 +392,10 @@ def _nonlinear_half(u: SpectralField, cfg: LansConfig, v: SpectralField | None =
     return flux + stress(u, u) + 2.0 * stress(u, v)
 
 
-def _nonlinear_terms(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
-    """Unprojected div(u(x)u) + div tau(u,u), plus with a background v the
-    cross terms div(u(x)v + v(x)u) + 2 div tau(u,v).  The advection part
-    is one bilinear flux: u(x)u + u(x)v + v(x)u = sym(u (x) (u + 2v))."""
-    return SpectralField(u.grid, _complete(_nonlinear_half(u, cfg, v), u.grid, u.grid.dealias_keep))
+def _nonlinear_terms(u: SpectralField, cfg: LansConfig) -> SpectralField:
+    """Unprojected self terms div(u(x)u) + div tau(u,u) on the dealias
+    band; nonlinear_rhs(u, cfg) is minus their Leray projection."""
+    return SpectralField(u.grid, _complete(_nonlinear_half(u, cfg), u.grid, u.grid.dealias_keep))
 
 
 def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
@@ -550,7 +548,7 @@ def picard_iterate(
         image = duhamel_map(current, u0, cfg, mcfg, v_traj)
         delta = _weighted_distance(image, current, mcfg)
         ratio = None if prev_delta in (None, 0.0) else delta / prev_delta
-        history.append(IterationState(iterate_index=m, delta_norm=delta, ratio=ratio))
+        history.append(IterationState(delta_norm=delta, ratio=ratio))
         if not np.isfinite(delta):
             raise PicardDivergenceError("iterate norm is not finite", np.inf, history)
         if delta < mcfg.picard_tol:
@@ -664,8 +662,7 @@ def solve_mlans(
     cfg: LansConfig,
     t_end: float,
     dt: float,
-    nonlinear: bool = True,
 ) -> Trajectory:
-    """Same marcher for the perturbation equation; the background v must
-    provide states at every step node (solve it first on the same grid)."""
-    return _march(u0, cfg, t_end, dt, v_traj, nonlinear, "mlans")
+    """The same nonlinear march for the perturbation equation; the background
+    v must provide states at every step node (solve it first on the same grid)."""
+    return _march(u0, cfg, t_end, dt, v_traj, True, "mlans")

@@ -118,10 +118,6 @@ def _fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple:
     return float(coef[0]), float(coef[1]), r2
 
 
-def _default_grid(n: int = 64) -> TorusGrid:
-    return TorusGrid(dim=3, points_per_axis=n)
-
-
 def _refined(grid: TorusGrid) -> TorusGrid:
     """The same box with twice the points per axis."""
     return replace(grid, points_per_axis=2 * grid.points_per_axis)
@@ -137,12 +133,12 @@ def verify_bernstein(
     beta: float,
     p: float,
     q: float,
-    grid: TorusGrid | None = None,
+    grid: TorusGrid,
     seed: int = 0,
     levels: list | None = None,
     per_level: int = 6,
 ) -> ExponentFit:
-    """Measure ||A^(beta/2) g||_q / ||g||_p on single-shell fields.
+    """Measure ||A^(beta/2) g||_q / ||g||_p on single-shell fields of the required grid.
 
     The two-sided prediction is slope beta + n (1/p - 1/q) in the shell
     index.  Shells are built directly on the lattice (no partition needed,
@@ -156,7 +152,6 @@ def verify_bernstein(
         raise HypothesisViolation(f"requires p <= q, got p={p} > q={q}")
     if beta < 0:
         raise HypothesisViolation(f"requires beta >= 0, got beta={beta}")
-    grid = grid or _default_grid()
     rng = as_rng(seed)
     n = grid.dim
     inv_p = 0.0 if p == np.inf else 1.0 / p
@@ -190,7 +185,7 @@ def verify_bernstein(
         min_constant=float(np.min(consts)),
         ensemble_size=len(xs),
         status=status,
-        seed=seed if isinstance(seed, int) else None,
+        seed=seed,
         params={"beta": beta, "p": p, "q": q, "n_axis": grid.points_per_axis, "levels": list(levels)},
         notes="coherent bump ensemble" if coherent else "random-phase ensemble",
     )
@@ -201,14 +196,13 @@ def verify_heat_smoothing(
     p1: float,
     s2: float,
     p2: float,
-    q: float = 2.0,
-    grid: TorusGrid | None = None,
+    grid: TorusGrid,
     seed: int = 0,
     ensemble: int = 6,
     levels: list | None = None,
 ) -> ExponentFit:
-    """Measure the decay of ||exp(t Lap) f|| in B^(s2)_(p2,q) for rough f
-    bounded in B^(s1)_(p1,q).
+    """Measure the decay of ||exp(t Lap) f|| in B^(s2)_(p2,2) for rough f
+    bounded in B^(s1)_(p1,2), on the required grid.
 
     Predicted decay exponent: -(s2 - s1 + n/p1 - n/p2)/2.  Each dyadic
     shell at scale 2^j is probed at its own diffusion time t_j = 4^(-j),
@@ -224,7 +218,7 @@ def verify_heat_smoothing(
         raise HypothesisViolation(f"requires p1 <= p2, got p1={p1} > p2={p2}")
     if s1 > s2:
         raise HypothesisViolation(f"requires s1 <= s2, got s1={s1} > s2={s2}")
-    grid = grid or _default_grid()
+    q = 2.0  # the fine index of both Besov norms
     rng = as_rng(seed)
     n = grid.dim
     part = build_partition(grid)
@@ -242,7 +236,7 @@ def verify_heat_smoothing(
         return ExponentFit(
             case="heat_smoothing", measured_slope=0.0, predicted_slope=predicted,
             r_squared=0.0, max_constant=0.0, min_constant=0.0, ensemble_size=0,
-            status="inconclusive", seed=seed if isinstance(seed, int) else None,
+            status="inconclusive", seed=seed,
             params={"s1": s1, "p1": p1, "s2": s2, "p2": p2, "q": q,
                     "n_axis": grid.points_per_axis, "levels": [], "times": []},
             notes="grid too coarse: no shell fits inside the exact-unity ball",
@@ -277,7 +271,7 @@ def verify_heat_smoothing(
         min_constant=float(np.min(consts)),
         ensemble_size=ensemble,
         status=status,
-        seed=seed if isinstance(seed, int) else None,
+        seed=seed,
         params={"s1": s1, "p1": p1, "s2": s2, "p2": p2, "q": q, "n_axis": grid.points_per_axis,
                 "levels": [int(j) for j in levels], "times": list(map(float, times))},
         notes="coherent shell ladder" if coherent else "random-phase shell ladder",
@@ -323,21 +317,21 @@ def verify_product_estimate(
     s2: float,
     p2: float,
     p: float,
-    q: float = 2.0,
-    grid: TorusGrid | None = None,
+    grid: TorusGrid,
     seed: int = 0,
     pairs: int = 100,
 ) -> ExponentFit:
-    """Check ||fg||_B^s <= C ||f|| ||g|| with s = s1 + s2 - n(1/p1 + 1/p2 - 1/p).
+    """Check ||fg||_B^s <= C ||f|| ||g|| with s = s1 + s2 - n(1/p1 + 1/p2 - 1/p),
+    every Besov norm with fine index q = 2.
 
     The hypotheses s1 < n/p1, s2 < n/p2, s1 + s2 > 0 (and the Hoelder
     compatibility 1/p <= 1/p1 + 1/p2) are enforced up front; violations
     raise HypothesisViolation naming the failed condition.  There is no
     sharp constant to compare against, so the check is stability: the
     observed max ratio must grow by less than a factor 2 when the grid is
-    refined from N to 2N.
+    refined from the required grid's N to 2N.
     """
-    grid = grid or _default_grid(32)
+    q = 2.0  # the fine index of every Besov norm
     n = grid.dim
     _product_hypotheses(s1, p1, s2, p2, p, n)
     s = s1 + s2 - n * (1.0 / p1 + 1.0 / p2 - 1.0 / p)
@@ -357,7 +351,7 @@ def verify_product_estimate(
         min_constant=float(min(c_coarse, c_fine)),
         ensemble_size=pairs,
         status=status,
-        seed=seed if isinstance(seed, int) else None,
+        seed=seed,
         params={"s1": s1, "p1": p1, "s2": s2, "p2": p2, "p": p, "q": q, "s": s, "n_axis": grid.points_per_axis},
         notes="constant stability under refinement; mixed random/coherent pairs",
     )
@@ -396,12 +390,12 @@ def _embedding_ratio_max(grid, case, params, ensemble, rng) -> tuple:
 
 def verify_embedding(
     case: str,
-    grid: TorusGrid | None = None,
+    grid: TorusGrid,
     seed: int = 0,
     ensemble: int = 40,
     **params,
 ) -> ExponentFit:
-    """Check one of the four space-comparison lines.
+    """Check one of the four space-comparison lines on the required grid and its refinement.
 
     q_monotonicity: bigger q never increases the norm (constant 1 exactly).
     p_integrability: losing n(1/p1 - 1/p2) regularity buys p2 >= p1.
@@ -414,7 +408,6 @@ def verify_embedding(
         raise HypothesisViolation(f"requires p1 <= p2, got {params['p1']} > {params['p2']}")
     if case == "sobolev_upper" and params["s"] >= params["r"]:
         raise HypothesisViolation(f"requires s < r, got s={params['s']} >= r={params['r']}")
-    grid = grid or _default_grid(32)
 
     w_c, b_c = _embedding_ratio_max(grid, case, params, ensemble, as_rng(seed))
     w_f, b_f = _embedding_ratio_max(_refined(grid), case, params, ensemble, as_rng(seed))
@@ -436,7 +429,7 @@ def verify_embedding(
         min_constant=float(best),
         ensemble_size=ensemble,
         status="pass" if ok else "fail",
-        seed=seed if isinstance(seed, int) else None,
+        seed=seed,
         params={**params, "n_axis": grid.points_per_axis},
     )
 
@@ -444,19 +437,18 @@ def verify_embedding(
 def verify_ladyzhenskaya(
     r1: float,
     r2: float,
-    grid: TorusGrid | None = None,
+    grid: TorusGrid,
     seed: int = 0,
     ensemble: int = 60,
 ) -> ExponentFit:
     """Interpolation ||f||_(H^r1) <= ||f||_(L2)^(1-r1/r2) ||f||_(H^r2)^(r1/r2)
-    with homogeneous multiplier norms on mean-zero fields.
+    with homogeneous multiplier norms on mean-zero fields of the required grid.
 
     On the lattice this is exactly Hoelder in k-space, so the constant is 1
     and single modes achieve equality; both facts are checked.
     """
     if not 0 < r1 < r2:
         raise HypothesisViolation(f"requires 0 < r1 < r2, got r1={r1}, r2={r2}")
-    grid = grid or _default_grid(32)
     theta = r1 / r2
 
     def max_ratio(g: TorusGrid, rng) -> float:
@@ -489,7 +481,7 @@ def verify_ladyzhenskaya(
         min_constant=float(single_mode_ratio),
         ensemble_size=ensemble,
         status="pass" if ok else "fail",
-        seed=seed if isinstance(seed, int) else None,
+        seed=seed,
         params={"r1": r1, "r2": r2, "theta": theta, "n_axis": grid.points_per_axis},
         notes="exact Hoelder in k-space: constant 1, single modes are equality cases",
     )

@@ -232,7 +232,6 @@ class H2Report:
 
     times: np.ndarray
     terms: dict
-    shapes: dict
     constants: dict
     ratio_max: dict
     under_resolved: bool
@@ -317,10 +316,10 @@ def h2_term_monitor(
             ratio_max[n] = float(np.max(terms[n][live] / (constants[n] * shapes[n][live])))
         else:
             ratio_max[n] = 0.0 if np.all(terms[n] < 1e-300) else np.inf
-    return H2Report(times, terms, shapes, dict(constants), ratio_max, under, calibrated_here)
+    return H2Report(times, terms, dict(constants), ratio_max, under, calibrated_here)
 
 
-def h2_concentration_slopes(cfg: LansConfig, seed: int = 0) -> dict:
+def h2_concentration_slopes(cfg: LansConfig) -> dict:
     """Growth of |K1| and |L2| against the third-derivative norm on a
     frequency-concentration family with the first-order norm held fixed.
 
@@ -328,13 +327,13 @@ def h2_concentration_slopes(cfg: LansConfig, seed: int = 0) -> dict:
     trilinear, slope 3); pushing energy to higher shells at fixed H^1 size
     is what separates the third-derivative exponent from the constant's
     dependence on lower norms.  The claim is an upper bound: measured
-    slopes must not exceed 15/8 (for K1) and 1 (for L2).  The family puts
-    u on shells 2..log2(N) - 2 against a unit-scale background v.
+    slopes must not exceed 15/8 (for K1) and 1 (for L2).  The seed-0 family
+    puts u on shells 2..log2(N) - 2 against a unit-scale background v.
     """
     from .ensembles import as_rng, random_solenoidal, shell_field
 
     grid = cfg.grid
-    rng = as_rng(seed)
+    rng = as_rng(0)
     levels = list(range(2, int(np.log2(grid.points_per_axis)) - 1))
     v = random_solenoidal(grid, rng, k_min=1.0, k_max=4.0)
     xs, k1s, l2s = [], [], []
@@ -408,8 +407,11 @@ class SplitResult:
 def split_with_report(w0: SpectralField, scfg: SplitConfig) -> SplitResult:
     """Split w0 = low + tail with a smooth dyadic low-pass at level j_cut,
     raising j_cut until the tail is smaller than epsilon in the
-    large-integrability space.  The split is coefficient-exact."""
+    large-integrability space.  The split is coefficient-exact; a j_cut
+    above the partition's top level j_max is a ValueError."""
     part = build_partition(w0.grid)
+    if scfg.j_cut > part.j_max:
+        raise ValueError(f"j_cut={scfg.j_cut} is above the partition's top level j_max={part.j_max}")
     idx = BesovIndex(3.0 / scfg.p_tilde, scfg.p_tilde, scfg.q)
     scanned = []
     for j in range(scfg.j_cut, part.j_max + 1):
@@ -454,11 +456,11 @@ def higher_regularity_trace(traj: Trajectory, k: float, base: float, q: float = 
 def bootstrap_consistency(
     traj: Trajectory,
     t1: float,
-    index: BesovIndex | None = None,
     v_traj: Trajectory | None = None,
 ) -> float:
-    """Re-solve from the stored state at t1 and return the max distance to
-    the original trajectory over the overlap (a discrete uniqueness check).
+    """Re-solve from the stored state at t1 and return the max B^(3/2)_(2,2)
+    distance to the original trajectory over the overlap (a discrete
+    uniqueness check); a perturbation run restarts over its background v_traj.
 
     Restarting at t1 = 0 replays the computation to roundoff (a few 1e-17
     on 16^3 runs), not bit for bit: the marcher re-applies
@@ -468,7 +470,6 @@ def bootstrap_consistency(
     if traj.config is None:
         raise ValueError("trajectory carries no solver configuration")
     cfg = traj.config
-    idx = index or BesovIndex(1.5, 2.0, 2.0)
     i1 = traj.node_index(t1)
     if i1 >= len(traj) - 1:
         raise ValueError("restart time leaves no overlap")
@@ -483,4 +484,4 @@ def bootstrap_consistency(
         v_slice = Trajectory._adopt(times[i1:] - times[i1], v_traj.grid, v_traj.coeffs[i1:], v_traj.equation, v_traj.config)
     rerun = _march(traj[i1], cfg, t_rem, dt, v_slice, True, traj.equation)
     gaps = (a - b for a, b in zip(rerun.coeffs, traj.coeffs[i1:]))
-    return _weighted_sup(rerun.times, gaps, 0.0, idx, traj.grid)
+    return _weighted_sup(rerun.times, gaps, 0.0, BesovIndex(1.5, 2.0, 2.0), traj.grid)

@@ -147,13 +147,11 @@ def make_rough_data(grid, seed: int, scale: float, q: float = 2.0):
     return w0 * (scale / norm)
 
 
-def run_pipeline(pcfg: PipelineConfig, w0=None) -> PipelineReport:
+def run_pipeline(pcfg: PipelineConfig) -> PipelineReport:
     cfg, scfg = pcfg.configs()
     grid = cfg.grid
     config_dump = {**{k: getattr(pcfg, k) for k in CLI_KEYS}, "dim": grid.dim, "j_cut": scfg.j_cut}
-
-    if w0 is None:
-        w0 = make_rough_data(grid, pcfg.seed, pcfg.data_scale, pcfg.q)
+    w0 = make_rough_data(grid, pcfg.seed, pcfg.data_scale, pcfg.q)
 
     try:
         split = split_with_report(w0, scfg)

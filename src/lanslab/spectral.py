@@ -592,12 +592,14 @@ def helmholtz_inverse(field: SpectralField, alpha: float) -> SpectralField:
 
 
 def heat_propagate(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField:
-    """Exact heat semigroup exp(nu t Lap) as a diagonal multiplier; t >= 0.
+    """Exact heat semigroup exp(nu t Lap) as a diagonal multiplier; finite t >= 0 and nu >= 0.
 
     The multiplier is formed and applied on the dealias half cube when f
     lies in it (_in_band), else on the half lattice, and the result is
     completed from there: for Hermitian f it equals the lattice multiply.
     """
+    if not (np.isfinite(t) and np.isfinite(nu) and nu >= 0):
+        raise ValueError(f"heat propagation needs a finite t and a finite nu >= 0, got t={t}, nu={nu}")
     if t < 0:
         raise ValueError(f"heat propagation needs t >= 0, got {t}")
     grid = f.grid
@@ -721,7 +723,8 @@ def relative_divergence(u: SpectralField) -> float:
     return l2_norm(divergence(u)) / nu
 
 
-def require_solenoidal(u: SpectralField, tol: float = 1e-8):
+def require_solenoidal(u: SpectralField):
+    """Raise SolenoidalityError when relative_divergence(u) exceeds 1e-8."""
     rel = relative_divergence(u)
-    if rel > tol:
-        raise SolenoidalityError(f"field has relative divergence {rel:.3e} > {tol:.1e}")
+    if rel > 1e-8:
+        raise SolenoidalityError(f"field has relative divergence {rel:.3e} > 1.0e-08")

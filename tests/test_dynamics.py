@@ -382,6 +382,20 @@ class TestHeatPropagator:
         with pytest.raises(ValueError):
             heat_propagate(band_field(grid16_mod, 3), -0.1)
 
+    def test_negative_time_message(self, grid16_mod):
+        with pytest.raises(ValueError, match=r"needs t >= 0, got -0\.1"):
+            heat_propagate(band_field(grid16_mod, 3), -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, grid16_mod, t):
+        with pytest.raises(ValueError, match=f"got t={t}, nu=1.0"):
+            heat_propagate(band_field(grid16_mod, 3), t)
+
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -0.5])
+    def test_bad_viscosity_rejected(self, grid16_mod, nu):
+        with pytest.raises(ValueError, match=f"got t=0.1, nu={nu}"):
+            heat_propagate(band_field(grid16_mod, 3), 0.1, nu)
+
     @pytest.mark.parametrize("grid", [TorusGrid(dim=3, points_per_axis=16), TorusGrid(dim=2, points_per_axis=32),
                                       TorusGrid(dim=3, points_per_axis=16, box_length=5.0)], ids=str)
     @given(seed=st.integers(0, 2**31), rank=st.integers(0, 2), in_cube=st.booleans(), t=st.floats(0.0, 0.5))

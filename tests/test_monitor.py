@@ -229,6 +229,12 @@ class TestSplit:
         assert err.value.achievable > 0.0
         assert "unreachable" in str(err.value)
 
+    def test_cut_above_top_level_is_named(self, grid16, rng):
+        w0 = random_solenoidal(grid16, rng, k_min=1.0, k_max=4.0)
+        assert build_partition(grid16).j_max == 1
+        with pytest.raises(ValueError, match=r"j_cut=5 .* j_max=1"):
+            split_with_report(w0, SplitConfig(6.0, 30.0, 1e-3, j_cut=5))
+
     def test_convexity_relation_enforced(self):
         good = SplitConfig(6.0, 30.0, 1e-3)
         assert good.theta == pytest.approx(
@@ -259,6 +265,13 @@ class TestTraceAndBootstrap:
     def test_bootstrap_restart_replays(self, traj16):
         assert bootstrap_consistency(traj16, 0.0) <= 1e-12
         assert bootstrap_consistency(traj16, 0.01) <= 1e-12
+
+    def test_bootstrap_restarts_a_perturbation_run(self, h2_pair):
+        u, v, _ = h2_pair
+        assert bootstrap_consistency(u, 0.0, v_traj=v) <= 1e-12
+        assert bootstrap_consistency(u, 0.01, v_traj=v) <= 1e-12
+        with pytest.raises(ValueError, match="background trajectory"):
+            bootstrap_consistency(u, 0.0)
 
     def test_bootstrap_needs_overlap(self, traj16):
         with pytest.raises(ValueError):

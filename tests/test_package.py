@@ -45,3 +45,36 @@ def test_every_private_helper_is_used_by_the_package():
                 own[node.name] += _references(node)[node.name]
     assert own
     assert sorted(name for name in own if used[name] <= own[name]) == []
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether a call sets a parameter, given its positional index (None for
+    keyword-only).  A *args or **kwargs argument may set any parameter."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True
+    return any(kw.arg == name for kw in call.keywords) or (position is not None and len(call.args) > position)
+
+
+def test_every_default_is_set_by_some_caller():
+    # a default that no call overrides is a constant dressed as an option
+    package = Path(lanslab.__file__).parent
+    sources = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    calls = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if default is not None]
+            unset += [f"{path.stem}.{fn.name}({name}=)" for position, name in defaulted
+                      if not any(_passes(call, position, name) for call in calls.get(fn.name, []))]
+    assert unset == []
