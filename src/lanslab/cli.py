@@ -30,7 +30,7 @@ from .inequality_lab import (
     verify_ladyzhenskaya,
     verify_product_estimate,
 )
-from .littlewood_paley import BesovIndex, build_partition
+from .littlewood_paley import BesovIndex, _partition_depth, build_partition
 from .monitor import cancellation_check, energy_pair
 from .pipeline import CLI_KEYS, PipelineConfig, run_pipeline
 from .reporting import manifest_hash, write_csv_trace, write_json_report
@@ -211,9 +211,12 @@ def cmd_verify(args) -> int:
 
 
 def _solve_config(n: int, alpha: float, nu: float, dt: float, t_end: float) -> LansConfig:
-    """The settings of one solve; ValueError on a bad grid, alpha, nu or time step."""
+    """The settings of one solve; ValueError on a bad grid, alpha, nu or time
+    step, or a grid too coarse for the dyadic partition the norms use."""
     _time_nodes(t_end, dt)
-    return LansConfig(grid=TorusGrid(dim=3, points_per_axis=n), alpha=alpha, nu=nu)
+    cfg = LansConfig(grid=TorusGrid(dim=3, points_per_axis=n), alpha=alpha, nu=nu)
+    _partition_depth(cfg.grid)
+    return cfg
 
 
 def _solve_once(equation: str, cfg: LansConfig, dt: float, t_end: float, seed: int, data_norm: float):

@@ -1,11 +1,16 @@
 """Command-line entry point: exit codes, artifacts, config merging."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import lanslab
 from lanslab import DyadicPartition, build_partition, read_field
 from lanslab.cli import _suite_partition, build_parser, main
 
@@ -227,6 +232,8 @@ BAD_VALUES = [
     ["solve", "--n", "12"],
     ["solve", "--dt", "0"],
     ["solve", "--alpha", "-1"],
+    ["solve", "--n", "8"],
+    ["solve", "--n", "8", "--equation", "mlans"],
     ["pipeline", "--steps", "30"],
     ["pipeline", "--p", "2"],
     ["pipeline", "--epsilon", "0"],
@@ -307,3 +314,12 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_module_entry_point():
+    # `python -m lanslab` runs the same command line from a source checkout
+    src = Path(lanslab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "lanslab", "--version"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.startswith("lanslab-")

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import math
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +127,80 @@ def row_by_row_csv(grid, samples, manifest) -> bytes:
     return buf.getvalue().encode()
 
 
+def with_specials(samples):
+    samples.reshape(-1)[[0, 9, 30, 50, -1]] = [np.nan, np.inf, -np.inf, -0.0, np.nan]
+    return samples
+
+
+def mixed_scales(samples):
+    """Every kind of sample below side by side: each sample gets one of the scales in turn."""
+    scales = np.array([1.0, 0.0, 1e-202, 1e20, -0.0, 1e-10, 1e15])
+    return with_specials(samples * scales[np.arange(samples.size) % len(scales)].reshape(samples.shape))
+
+
+# sample sets by the path they take through the formatter: nan, +-inf and
+# -0.0 among ordinary values; all zeros (solve --data-norm 0); samples near
+# 1e-202 (solve --data-norm 1e-200), which almost all fall back; samples
+# near 1e20, past the certified range; and all of these mixed
+SAMPLE_SETS = {
+    "specials": with_specials,
+    "zeros": lambda samples: samples * 0.0,
+    "tiny": lambda samples: samples * 1e-202,
+    "huge": lambda samples: samples * 1e20,
+    "mixed": mixed_scales,
+}
+
+
+def printf17(values) -> list:
+    """The formatter's cells as bytes, NUL padding dropped."""
+    return [cell[cell != 0].tobytes() for cell in fieldio._format17(np.asarray(values, dtype=float))]
+
+
+def float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def exact_ties() -> np.ndarray:
+    """Doubles whose 18th significant digit is their last and a 5: odd j
+    times 2^(X - 17) in decade X, 100 in each decade that has them."""
+    values = []
+    for x in range(-7, 16):
+        first = math.ceil(Fraction(10) ** x * 2 ** (17 - x)) | 1
+        values.append(np.ldexp(np.arange(first, first + 200, 2, dtype=float), x - 17))
+    return np.concatenate(values)
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-16, 18)])
+# fixed cases at the formatter's boundaries: the double nearest 1e-12, for
+# one, is 9.9999999999999998e-13, below its decade, though log10 gives -12
+FIXED_VALUES = {
+    "decades and their neighbours": np.concatenate(
+        [_POWERS, np.nextafter(_POWERS, 0), np.nextafter(_POWERS, np.inf)]),
+    "integers up to 2^53": np.concatenate([
+        np.arange(-1000, 100_001), 2.0 ** np.arange(54), 2.0 ** np.arange(1, 54) - 1,
+        10.0 ** np.arange(1, 16) - 1, np.random.default_rng(11).integers(0, 2**53, 10_000, endpoint=True)]),
+    "multiples of 2^-30": np.arange(-(2**16), 2**16 + 1) * 2.0**-30,
+    "six decimals": np.round(np.random.default_rng(12).uniform(-1000, 1000, 20_000), 6),
+    "exact ties": exact_ties(),
+}
+
+
+class TestFormatter:
+    @given(values=st.lists(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(float_from_bits)),
+                           min_size=1, max_size=40))
+    def test_matches_printf(self, values):
+        # st.floats() brings nan, +-inf, +-0.0 and subnormals; uniform bit
+        # patterns reach every exponent
+        assert printf17(values) == [("%.17g" % v).encode() for v in values]
+
+    @pytest.mark.parametrize("kind", FIXED_VALUES)
+    def test_matches_printf_on_fixed_values(self, kind):
+        values = np.concatenate([FIXED_VALUES[kind], -FIXED_VALUES[kind]])
+        got = printf17(values)
+        wrong = [(v, cell) for v, cell in zip(values.tolist(), got) if cell != ("%.17g" % v).encode()]
+        assert not wrong
+
+
 class TestCsvExport:
     def test_manifest_line_and_shape(self, tmp_path, sample):
         path = tmp_path / "u.csv"
@@ -157,12 +233,12 @@ class TestCsvExport:
 
     @pytest.mark.parametrize("manifest", [None, "abc123def456"])
     @pytest.mark.parametrize("dim, rank", [(2, 0), (3, 1)])
-    def test_special_values_match_row_by_row_writer(self, tmp_path, monkeypatch, dim, rank, manifest):
+    @pytest.mark.parametrize("kind", SAMPLE_SETS)
+    def test_special_values_match_row_by_row_writer(self, tmp_path, monkeypatch, dim, rank, manifest, kind):
         # nan, +-inf and -0.0 cannot come out of a transform of finite data,
         # so the writer is handed them as samples
         grid = TorusGrid(dim=dim, points_per_axis=8)
-        samples = np.random.default_rng(6).standard_normal((dim,) * rank + grid.shape)
-        samples.reshape(-1)[[0, 9, 30, 50, -1]] = [np.nan, np.inf, -np.inf, -0.0, np.nan]
+        samples = SAMPLE_SETS[kind](np.random.default_rng(6).standard_normal((dim,) * rank + grid.shape))
         monkeypatch.setattr(fieldio, "inverse_transform", lambda field: samples)
         path = tmp_path / "f.csv"
         field_to_csv(path, SpectralField(grid, np.zeros(samples.shape, complex)), manifest_hash=manifest)
