@@ -43,12 +43,9 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _version() -> str:
-    try:
-        from importlib.metadata import version
+    from . import __version__
 
-        return "lanslab-" + version("lanslab")
-    except Exception:
-        return "lanslab-0.dev"
+    return "lanslab-" + __version__
 
 
 def _usage_error(command: str, err) -> int:

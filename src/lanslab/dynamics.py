@@ -16,33 +16,33 @@ holds exactly at the discrete level.  Pressure never appears: every
 nonlinear term is Leray-projected, which removes exactly the gradient
 component.
 
-The nonlinearity kernel (_flux, reynolds_stress, nonlinear_rhs) works on
-the 2/3-rule dealias cube |m_i| <= K = grid.dealias_keep, m_last >= 0.
-Like every reader of the coefficient contract in spectral it reads only
-the half lattice of each input.  When every input of a call lies in the
-dealias cube (a slab test on the half lattice), its inverse transforms
-read only that half cube; otherwise they read the whole half lattice, so
-any input gives the full-lattice operators' result.  The products' forward
-transforms make only the dealias half cube, which is all the dealias mask
-keeps, and the gradient, Helmholtz-inverse, divergence and Leray
-multipliers act there on arrays built once per grid (spectral._HalfCube).
-Each returned field is completed to the full lattice once, so it is
-exactly Hermitian.  A self term makes 27 real scalar transforms and a
+The nonlinearity kernel (_flux, reynolds_stress, nonlinear_rhs) reads the
+half lattice of each input and works on the 2/3-rule dealias half cube
+|m_i| <= K = grid.dealias_keep, m_last >= 0: its inverse transforms read
+only that cube when every input of a call lies in it (a slab test), else
+the whole half lattice, so any input gives the full-lattice operators'
+result; its forward transforms make only the cube, all the dealias mask
+keeps, and its multipliers act there on arrays built once per grid
+(spectral._HalfCube).  A self term makes 27 real scalar transforms and a
 call with a background 48 (u's Jacobian is transformed once per call);
 pruned (Sorensen & Burrus 1993), at 16^3 they cost the FFT lines of 20.7
 and 36.9 unpruned ones.
 
-A Trajectory stacks its states into one coefficient array, and all norms
-of trajectories are weighted Besov sups of the form sup_t t^a ||u(t)||,
-taken node by node over that array.
+The march and the Duhamel map hold u, the stage, the kernel outputs
+(_rhs_half, the kernel's cube-level entry) and the Duhamel integral on the
+same half cube, which holds every state they make, and complete each
+state once into its row of a Trajectory: one full-lattice coefficient
+array of stacked states.  All norms of trajectories are weighted Besov
+sups of the form sup_t t^a ||u(t)||, taken node by node over that array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .spectral import (
     _cut_half,
     _frozen,
     _half_cube,
+    _hermitian_planes,
     _in_band,
     _irfft,
     _leray,
@@ -254,21 +255,15 @@ class IterationState:
     ratio: float | None = None
 
 
-class _KernelInput(SpectralField):
-    """A field for the span of one kernel call, with the band its inverse
-    transforms run on: the dealias band K when every input of the call lies
-    in the dealias cube, else N/2, the half lattice.  Its half cube is made
-    on first use; its Def/Rot parts are kept in shared_parts only where
-    two stress calls read them."""
+class _KernelInput:
+    """One input of a kernel call: its half cube of the band the call's
+    inverse transforms run on, the dealias band K when every input of the
+    call lies in the dealias cube, else N/2, the half lattice.  Its Def/Rot
+    parts are kept in shared_parts only where two stress calls read them."""
 
-    def __init__(self, field: SpectralField, band: int):
-        super().__init__(field.grid, field.coeffs)
-        self.band = band
+    def __init__(self, grid: TorusGrid, half: np.ndarray, band: int):
+        self.grid, self.half, self.band = grid, half, band
         self.shared_parts = None
-
-    @cached_property
-    def half(self) -> np.ndarray:
-        return _cut_half(self.coeffs, self.grid, self.band)
 
     def jacobian_parts(self) -> tuple:
         """Physical Def = (J + J^T)/2 and Rot = (J - J^T)/2, J[i, j] = d_j f_i."""
@@ -291,8 +286,8 @@ def _kernel_inputs(u: SpectralField, v: SpectralField | None) -> tuple:
     band = grid.dealias_keep
     if not all(_in_band(f.coeffs, grid, band) for f in fields):
         band = grid.points_per_axis // 2
-    ku = _KernelInput(u, band)
-    return ku, (None if v is None else ku if v is u else _KernelInput(v, band))
+    inputs = [_KernelInput(grid, _cut_half(f.coeffs, grid, band), band) for f in fields]
+    return inputs[0], (None if v is None else inputs[-1])
 
 
 def _flux_half(grid: TorusGrid, cu: np.ndarray, cw: np.ndarray | None, band: int) -> np.ndarray:
@@ -374,12 +369,9 @@ def _viscous(u: SpectralField, cfg: LansConfig) -> SpectralField:
     return SpectralField(u.grid, -cfg.nu * u.grid.k_squared * u.coeffs)
 
 
-def _nonlinear_half(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> np.ndarray:
-    """Dealias half-cube coefficients of _nonlinear_terms."""
+def _nonlinear_half(cfg: LansConfig, u: _KernelInput, v: _KernelInput | None) -> np.ndarray:
+    """Dealias half-cube coefficients of _nonlinear_terms, given the kernel inputs."""
     grid = u.grid
-    if v is not None:
-        _check_same_grid(u, v)
-    u, v = _kernel_inputs(u, v)
 
     def stress(f, g):
         return _cut_half(reynolds_stress(f, g, cfg).coeffs, grid, grid.dealias_keep)
@@ -395,7 +387,24 @@ def _nonlinear_half(u: SpectralField, cfg: LansConfig, v: SpectralField | None =
 def _nonlinear_terms(u: SpectralField, cfg: LansConfig) -> SpectralField:
     """Unprojected self terms div(u(x)u) + div tau(u,u) on the dealias
     band; nonlinear_rhs(u, cfg) is minus their Leray projection."""
-    return SpectralField(u.grid, _complete(_nonlinear_half(u, cfg), u.grid, u.grid.dealias_keep))
+    return SpectralField(u.grid, _complete(_nonlinear_half(cfg, *_kernel_inputs(u, None)), u.grid, u.grid.dealias_keep))
+
+
+def _rhs_half(cfg: LansConfig, u: _KernelInput, v: _KernelInput | None) -> np.ndarray:
+    """The kernel's cube-level entry: -P[_nonlinear_half] on the dealias half
+    cube.  nonlinear_rhs completes it; a caller that keeps it makes its
+    k_last = 0 plane Hermitian, as _complete does, and only once: a second
+    _hermitian_planes pass can flip the sign of a zero."""
+    return -_leray(_nonlinear_half(cfg, u, v), u.grid, u.grid.dealias_keep)
+
+
+def _complete_row(row: np.ndarray, half: np.ndarray, grid: TorusGrid, band: int):
+    """row[...] = _complete(half, grid, band) with the zeros of the mirrored
+    half (m_last < 0) written as +0.0, as lattice arithmetic gives them; a
+    conjugate mirror gives -0.0 where the Leray projection zeroes a mode."""
+    row[...] = _complete(half, grid, band)
+    mirrored = row[..., grid.points_per_axis // 2 + 1 :]
+    mirrored += 0.0
 
 
 def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
@@ -405,12 +414,12 @@ def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = N
     With a background v the u-v cross terms are added:
     -P[div(u(x)u + u(x)v + v(x)u) + div tau(u,u) + 2 div tau(u,v)].
     No pure v-v terms appear in either case.  The terms are summed and
-    projected on the dealias half cube and completed to the full lattice
-    once.
+    projected on the dealias half cube (_rhs_half) and completed to the
+    full lattice once.
     """
-    band = u.grid.dealias_keep
-    projected = _leray(_nonlinear_half(u, cfg, v), u.grid, band)
-    return SpectralField(u.grid, _complete(-projected, u.grid, band))
+    if v is not None:
+        _check_same_grid(u, v)
+    return SpectralField(u.grid, _complete(_rhs_half(cfg, *_kernel_inputs(u, v)), u.grid, u.grid.dealias_keep))
 
 
 def lans_rhs(w: SpectralField, cfg: LansConfig) -> SpectralField:
@@ -460,26 +469,33 @@ def duhamel_map(
     on the trajectory's time grid.  The integral uses the composite
     trapezoid rule with the semigroup factor applied exactly per node via
     the recurrence I_i = E I_(i-1) + increment, E = one-step semigroup;
-    the heat flow of u0 follows the same recurrence, H_i = E H_(i-1).
+    the heat flow of u0 follows the same recurrence, H_i = E H_(i-1).  I
+    lives on the dealias half cube, H on u0's (the half lattice past it).
     """
     _require_grid(u0, cfg)
     grid = cfg.grid
+    keep = grid.dealias_keep
+    band = keep if _in_band(u0.coeffs, grid, keep) else grid.points_per_axis // 2
     times = traj.times
     dt = float(times[1] - times[0])
     v_states = _background_states(v_traj, times, grid)
-    step_mult = np.exp(-cfg.nu * dt * grid.k_squared)
+    heat_mult, step_mult = (np.exp(-cfg.nu * dt * _half_cube(grid, b).k_squared) for b in (band, keep))
 
-    n_fields = [nonlinear_rhs(u, cfg, v) for u, v in zip(traj, v_states)]
+    n_halves = [_rhs_half(cfg, *_kernel_inputs(u, v)) for u, v in zip(traj, v_states)]
+    for n in n_halves:
+        _hermitian_planes(n, grid, keep)
     coeffs = np.empty((len(times),) + u0.coeffs.shape, dtype=np.complex128)
     if times[0] > 0:
-        coeffs[0] = heat = heat_propagate(u0, times[0], cfg.nu).coeffs
+        coeffs[0] = heat_propagate(u0, times[0], cfg.nu).coeffs
+        heat = _cut_half(coeffs[0], grid, band)
     else:
-        heat, coeffs[0] = u0.coeffs, dealias(u0).coeffs
-    integral = np.zeros_like(u0.coeffs)
+        heat, coeffs[0] = _cut_half(u0.coeffs, grid, band), dealias(u0).coeffs
+    integral = np.zeros_like(n_halves[0])
     for i in range(1, len(times)):
-        integral = step_mult * (integral + 0.5 * dt * n_fields[i - 1].coeffs) + 0.5 * dt * n_fields[i].coeffs
-        heat = step_mult * heat
-        coeffs[i] = heat + integral
+        integral = step_mult * (integral + 0.5 * dt * n_halves[i - 1]) + 0.5 * dt * n_halves[i]
+        heat = heat_mult * heat
+        total = heat + (integral if band == keep else _cut_half(_complete(integral, grid, keep), grid, band))
+        _complete_row(coeffs[i], total, grid, band)
     return Trajectory._adopt(times, grid, coeffs, traj.equation, cfg)
 
 
@@ -610,33 +626,40 @@ def _march(
     nonlinear: bool,
     equation: str,
 ) -> Trajectory:
+    """The exponential-integrator march.  u, the stage and the kernel outputs
+    live on the dealias half cube, which holds every state; each state is
+    completed once into its row of the full-lattice trajectory."""
     _require_grid(u0, cfg)
     grid = cfg.grid
+    keep = grid.dealias_keep
     require_solenoidal(u0)
     times = _time_nodes(t_end, dt)
-    steps = len(times) - 1
     v_states = _background_states(v_traj, times, grid)
+    e_dt, phi1, phi2 = _phi_factors(-cfg.nu * dt * _half_cube(grid, keep).k_squared)
 
-    z = -cfg.nu * dt * grid.k_squared
-    e_dt, phi1, phi2 = _phi_factors(z)
+    def rhs(u_half, v):
+        band = keep if v is None else v.band
+        if band != keep:  # a background node outside the dealias cube
+            u_half = _cut_half(_complete(u_half, grid, keep), grid, band)
+        out = _rhs_half(cfg, _KernelInput(grid, u_half, band), v)
+        _hermitian_planes(out, grid, keep)
+        return out
 
-    # rows are filled as the march advances and u is a view of the newest,
-    # so the states held at any step are those the march has produced
     coeffs = np.empty((len(times),) + u0.coeffs.shape, dtype=np.complex128)
     coeffs[0] = leray_project(dealias(u0)).coeffs
-    u = SpectralField(grid, coeffs[0])
-    for i in range(steps):
+    u = _cut_half(coeffs[0], grid, keep)
+    backgrounds = (None if v is None else _kernel_inputs(v, None)[0] for v in v_states)
+    for i, (v_now, v_next) in enumerate(itertools.pairwise(backgrounds)):
         if nonlinear:
-            n_u = nonlinear_rhs(u, cfg, v_states[i])
-            stage = SpectralField(grid, e_dt * u.coeffs + dt * phi1 * n_u.coeffs)
-            n_stage = nonlinear_rhs(stage, cfg, v_states[i + 1])
-            nxt = stage.coeffs + dt * phi2 * (n_stage.coeffs - n_u.coeffs)
+            n_u = rhs(u, v_now)
+            stage = e_dt * u + dt * phi1 * n_u
+            nxt = stage + dt * phi2 * (rhs(stage, v_next) - n_u)
         else:
-            nxt = e_dt * u.coeffs
-        coeffs[i + 1] = leray_project(dealias(SpectralField(grid, nxt))).coeffs
-        u = SpectralField(grid, coeffs[i + 1])
-        if not np.all(np.isfinite(u.coeffs.view(np.float64))):
+            nxt = e_dt * u
+        u = _leray(nxt, grid, keep)
+        if not np.isfinite(u).all():
             raise SolverBlowupError(i + 1, float(times[i + 1]))
+        _complete_row(coeffs[i + 1], u, grid, keep)
     return Trajectory._adopt(times, grid, coeffs, equation, cfg)
 
 

@@ -322,4 +322,10 @@ def test_module_entry_point():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "lanslab", "--version"], env=env, capture_output=True, text=True)
     assert done.returncode == 0
-    assert done.stdout.startswith("lanslab-")
+    assert done.stdout == f"lanslab-{lanslab.__version__}\n"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(lanslab.__file__).resolve().parents[2] / "pyproject.toml"
+    assert lanslab.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]

@@ -38,11 +38,13 @@ from lanslab import (
     picard_iterate,
     random_solenoidal,
     reynolds_stress,
+    sobolev_norm,
     solve_lans,
     solve_mlans,
     weighted_norm,
 )
 from lanslab.dynamics import _nonlinear_terms, _phi_factors
+from lanslab.monitor import energy_pair
 from conftest import mirrored, zero_field
 
 HEAT_FACTOR_K2_T01 = 0.6703200460356393  # exp(-0.4), |k| = 2 for t = 0.1
@@ -465,6 +467,174 @@ class TestMarcher:
         w_traj = solve_lans(w0, cfg16, T, dt)
         recombined = u_traj.final + v_traj.final
         assert l2_norm(recombined - w_traj.final) <= 1e-8 * l2_norm(w_traj.final)
+
+
+def lattice_march(u0, cfg, t_end, dt, v_traj=None, nonlinear=True):
+    """The marcher on the full lattice, one public primitive at a time: the
+    exponential-integrator update of every state, then its dealias and
+    Leray projection.  Returns the stacked states."""
+    grid = cfg.grid
+    e_dt, phi1, phi2 = _phi_factors(-cfg.nu * dt * grid.k_squared)
+    times = dt * np.arange(int(round(t_end / dt)) + 1)
+    v = [None] * len(times) if v_traj is None else [v_traj.state_at(t) for t in times]
+    states = [leray_project(dealias(u0)).coeffs]
+    for i in range(len(times) - 1):
+        u = states[-1]
+        if nonlinear:
+            n_u = nonlinear_rhs(SpectralField(grid, u), cfg, v[i]).coeffs
+            stage = e_dt * u + dt * phi1 * n_u
+            n_stage = nonlinear_rhs(SpectralField(grid, stage), cfg, v[i + 1]).coeffs
+            nxt = stage + dt * phi2 * (n_stage - n_u)
+        else:
+            nxt = e_dt * u
+        states.append(leray_project(dealias(SpectralField(grid, nxt))).coeffs)
+    return np.stack(states)
+
+
+def lattice_duhamel(traj, u0, cfg, v_traj=None):
+    """The Duhamel map's trapezoid and heat recurrences on the full lattice,
+    with nonlinear_rhs at every node.  Returns the stacked states."""
+    times, grid = traj.times, cfg.grid
+    dt = float(times[1] - times[0])
+    step = np.exp(-cfg.nu * dt * grid.k_squared)
+    n = [nonlinear_rhs(u, cfg, None if v_traj is None else v_traj.state_at(t)).coeffs for t, u in zip(times, traj)]
+    if times[0] > 0:
+        heat = heat_propagate(u0, times[0], cfg.nu).coeffs
+        states = [heat]
+    else:
+        heat, states = u0.coeffs, [dealias(u0).coeffs]
+    integral = np.zeros_like(u0.coeffs)
+    for i in range(1, len(times)):
+        integral = step * (integral + 0.5 * dt * n[i - 1]) + 0.5 * dt * n[i]
+        heat = step * heat
+        states.append(heat + integral)
+    return np.stack(states)
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal signs, zeros included."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def projected_noise(grid, seed, scale=0.3):
+    """A solenoidal field with content on the whole lattice, Nyquist planes included."""
+    noise = np.random.default_rng(seed).standard_normal((grid.dim,) + grid.shape)
+    return leray_project(forward_transform(noise, grid)) * scale
+
+
+ORACLE_GRIDS = [TorusGrid(dim=3, points_per_axis=16), TorusGrid(dim=2, points_per_axis=32)]
+
+
+class TestLatticeOracle:
+    """The march and the Duhamel map hold their states on the dealias half
+    cube and complete each one once; their trajectories equal the lattice
+    computations built from public primitives, bit for bit."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_solve_lans(self, grid, alpha):
+        cfg = LansConfig(grid=grid, alpha=alpha, nu=0.05)
+        for u0 in (band_field(grid, 70, k_max=5.0, scale=2.0), projected_noise(grid, 71)):
+            assert_same_bits(solve_lans(u0, cfg, 0.04, 0.01).coeffs, lattice_march(u0, cfg, 0.04, 0.01))
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
+    def test_solve_lans_without_nonlinearity(self, grid):
+        cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
+        u0 = band_field(grid, 72, k_max=3.0)
+        got = solve_lans(u0, cfg, 0.04, 0.01, nonlinear=False).coeffs
+        assert_same_bits(got, lattice_march(u0, cfg, 0.04, 0.01, nonlinear=False))
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
+    @pytest.mark.parametrize("background", ["march", "outside_cube"])
+    def test_solve_mlans(self, grid, background):
+        # a background node outside the dealias cube sends its kernel calls
+        # to the half lattice
+        cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
+        u0, v0 = band_field(grid, 73, k_max=5.0, scale=2.0), band_field(grid, 74, k_max=5.0, scale=2.0)
+        v_traj = solve_lans(v0, cfg, 0.04, 0.01)
+        if background == "outside_cube":
+            noise = projected_noise(grid, 75, scale=0.01)
+            v_traj = Trajectory(v_traj.times, [s + noise for s in v_traj], config=cfg)
+        got = solve_mlans(u0, v_traj, cfg, 0.04, 0.01).coeffs
+        assert_same_bits(got, lattice_march(u0, cfg, 0.04, 0.01, v_traj))
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
+    @pytest.mark.parametrize("data", ["in_cube", "outside_cube"])
+    @pytest.mark.parametrize("t0", [0.0, 0.01])
+    def test_duhamel_map(self, grid, data, t0):
+        # u0 and the nodes outside the dealias cube take the half lattice
+        cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
+        mcfg = MildSolverConfig(t_end=0.02, dt=0.005, weight_index=BesovIndex(1.5, 2.0, 2.0))
+        u0 = band_field(grid, 76, k_max=5.0) if data == "in_cube" else projected_noise(grid, 76)
+        times = t0 + mcfg.time_nodes()
+        traj = Trajectory(times, [heat_propagate(u0, t, cfg.nu) for t in times], config=cfg)
+        v_traj = solve_lans(band_field(grid, 77, k_max=5.0), cfg, 0.04, 0.005)
+        for v in (None, v_traj):
+            assert_same_bits(duhamel_map(traj, u0, cfg, mcfg, v).coeffs, lattice_duhamel(traj, u0, cfg, v))
+
+
+class TestMarchEquivariance:
+    """The march commutes with the cubic group's signed permutations composed
+    with grid shifts: solving from T u0 (over the background T v) gives T
+    of each state.  A guard for rewrites of the marcher."""
+
+    @given(perm=st.permutations([0, 1, 2]), signs=st.tuples(*[st.sampled_from([-1, 1])] * 3),
+           shift=st.tuples(*[st.integers(0, 15)] * 3), with_background=st.booleans())
+    def test_signed_permutations_and_shifts(self, perm, signs, shift, with_background):
+        grid = TorusGrid(dim=3, points_per_axis=16)
+        cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
+        u0, v0 = band_field(grid, 60, k_max=4.0), band_field(grid, 61, k_max=4.0)
+        t_end, dt = 0.04, 0.01
+
+        def act(f):
+            return forward_transform(signed_permutation(inverse_transform(f), perm, signs, shift), grid)
+
+        if with_background:
+            v_traj = solve_lans(v0, cfg, t_end, dt)
+            moved_v = Trajectory(v_traj.times, [act(s) for s in v_traj], config=cfg)
+            traj, moved = solve_mlans(u0, v_traj, cfg, t_end, dt), solve_mlans(act(u0), moved_v, cfg, t_end, dt)
+        else:
+            traj, moved = solve_lans(u0, cfg, t_end, dt), solve_lans(act(u0), cfg, t_end, dt)
+        assert len(traj) == 5
+        for state, moved_state in zip(traj, moved):
+            expected = act(state)
+            assert l2_norm(moved_state - expected) <= 1e-14 * l2_norm(expected)
+
+
+def dissipation(u, cfg):
+    """D = 2 nu (||grad u||^2 + alpha^2 ||Lap u||^2), the decay rate of energy_pair."""
+    return 2.0 * cfg.nu * (sobolev_norm(u, 1.0) ** 2 + cfg.alpha**2 * sobolev_norm(u, 2.0) ** 2)
+
+
+def energy_balance_ratio(u0, cfg, t_end, dt):
+    """max_n |r_n| / (dt max_n D_n) with r_n = E_(n+1) - E_n + (dt/2)(D_n + D_(n+1))."""
+    traj = solve_lans(u0, cfg, t_end, dt)
+    energy = np.array([energy_pair(s, cfg.alpha) for s in traj])
+    rate = np.array([dissipation(s, cfg) for s in traj])
+    residual = np.diff(energy) + 0.5 * dt * (rate[:-1] + rate[1:])
+    return np.max(np.abs(residual)) / (dt * np.max(rate))
+
+
+class TestEnergyBalance:
+    """A viscous LANS-alpha flow loses H^1_alpha energy E = ||u||^2 +
+    alpha^2 ||grad u||^2 at exactly the rate D, so the per-step balance
+    residual r_n is the integrator's error: second order, it shrinks about
+    4x per halving of dt (3.96-4.01x measured with the Marsden-Shkoller
+    tensor, 6.2e-9 at dt = 2.5e-3)."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the Def*Rot stress does not conserve the H^1_alpha energy (the "
+                       "ratio reads 7.5e-3 at every dt); switching the tensor is the owner's decision")
+    def test_residual_is_second_order(self):
+        grid = TorusGrid(dim=3, points_per_axis=16)
+        cfg = LansConfig(grid=grid, alpha=0.5, nu=0.005)
+        u0 = random_solenoidal(grid, np.random.default_rng(0), k_max=4.0)
+        u0 = u0 * (1.0 / l2_norm(u0))
+        ratios = [energy_balance_ratio(u0, cfg, 0.05, dt) for dt in (2.5e-3, 1.25e-3, 6.25e-4)]
+        assert ratios[0] <= 1e-6, ratios
+        assert all(a >= 3.0 * b for a, b in zip(ratios, ratios[1:])), ratios
 
 
 class TestPhiFactors:
