@@ -254,8 +254,9 @@ def cmd_solve(args) -> int:
         print(f"solver aborted: {err}", file=sys.stderr)
         return EXIT_FAIL
     out.mkdir(parents=True, exist_ok=True)
-    write_field(out / "final_state.field", traj.final, extra={"manifest": manifest, "t": float(traj.times[-1])})
-    field_to_csv(out / "final_state.csv", traj.final, manifest_hash=manifest)
+    final = traj.final
+    write_field(out / "final_state.field", final, extra={"manifest": manifest, "t": float(traj.times[-1])})
+    field_to_csv(out / "final_state.csv", final, manifest_hash=manifest)
     write_csv_trace(out / "norms.csv", ["t", "l2", "besov_3half_2_2", "energy_pair"], rows, manifest)
     write_json_report(out / "solve.json", {
         "equation": args.equation, "seed": args.seed, "steps": len(traj) - 1,
@@ -303,7 +304,7 @@ def _sweep_cell(cell: dict, t_end: float, seed: int, data_norm: float) -> dict:
         cfg = _solve_config(cell["n"], cell["alpha"], cell["nu"], cell["dt"], t_end)
         traj, rows = _solve_once("lans", cfg, cell["dt"], t_end, seed, data_norm)
         return {**cell, "status": "ok", "final_l2": rows[-1][1], "final_energy_pair": rows[-1][3],
-                "_final": traj.final.copy()}
+                "_final": traj.final}
     except Exception as err:  # isolation: one bad cell must not sink the rest
         return {**cell, "status": "failed", "error": f"{type(err).__name__}: {err}"}
 

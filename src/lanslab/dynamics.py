@@ -30,10 +30,10 @@ and 36.9 unpruned ones.
 
 The march and the Duhamel map hold u, the stage, the kernel outputs
 (_rhs_half, the kernel's cube-level entry) and the Duhamel integral on the
-same half cube, which holds every state they make, and complete each
-state once into its row of a Trajectory: one full-lattice coefficient
-array of stacked states.  All norms of trajectories are weighted Besov
-sups of the form sup_t t^a ||u(t)||, taken node by node over that array.
+same half cube, which holds every state they make; a Trajectory stacks
+the states' half cubes and completes a node only when it is read.  All
+norms of trajectories are weighted Besov sups of the form
+sup_t t^a ||u(t)||, taken node by node over the stacked half cubes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -55,13 +55,15 @@ from .spectral import (
     _complete,
     _contract,
     _cut_half,
+    _data_band,
     _frozen,
     _half_cube,
     _hermitian_planes,
-    _in_band,
     _irfft,
     _leray,
     _rfft,
+    _WORK,
+    _work,
     dealias,
     heat_propagate,
     leray_project,
@@ -187,10 +189,11 @@ def _time_nodes(t_end: float, dt: float) -> np.ndarray:
 class Trajectory:
     """Time-ordered divergence-free states with their production settings.
 
-    The states are stacked into one array, coeffs, of shape
-    (T,) + lead_shape + grid.shape; all of them must live on one grid.
-    traj[i] is a SpectralField view of node i that shares memory with
-    coeffs, and iterating a trajectory yields its nodes in time order.
+    All states live on one grid, and their half cubes of one band are
+    stacked into one array: the dealias band K when every state lies in the
+    dealias cube, as the solvers' states do, else N/2, the half lattice.
+    traj[i] completes node i to a fresh SpectralField, and iterating a
+    trajectory yields its nodes in time order.
     """
 
     def __init__(self, times, states, equation: str = "lans", config: LansConfig | None = None):
@@ -198,31 +201,37 @@ class Trajectory:
             raise ValueError("empty trajectory")
         for state in states[1:]:
             _check_same_grid(states[0], state)
-        self._init(times, states[0].grid, np.stack([state.coeffs for state in states]), equation, config)
+        band = _data_band(states[0].grid, *(state.coeffs for state in states))
+        halves = np.stack([_cut_half(state.coeffs, state.grid, band) for state in states])
+        self._init(times, states[0].grid, halves, equation, config)
 
     @classmethod
-    def _adopt(cls, times, grid: TorusGrid, coeffs: np.ndarray, equation: str, config) -> "Trajectory":
-        """A trajectory that owns coeffs, shape (T,) + lead + grid.shape, without copying it."""
+    def _adopt(cls, times, grid: TorusGrid, halves: np.ndarray, equation: str, config) -> "Trajectory":
+        """A trajectory that owns halves, its nodes' stacked half cubes, without copying them."""
         traj = cls.__new__(cls)
-        traj._init(times, grid, coeffs, equation, config)
+        traj._init(times, grid, halves, equation, config)
         return traj
 
-    def _init(self, times, grid, coeffs, equation, config):
+    def _init(self, times, grid, halves, equation, config):
         self.times = np.asarray(times, dtype=float)
-        if len(self.times) != len(coeffs):
+        if len(self.times) != len(halves):
             raise ValueError("times and states must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        self.grid, self.coeffs, self.equation, self.config = grid, coeffs, equation, config
+        self.grid, self._halves, self.equation, self.config = grid, halves, equation, config
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self._halves)
 
     def __getitem__(self, i) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[operator.index(i)])
+        """Node i on the lattice; the mirrored half's zeros (m_last < 0) are +0.0, as lattice arithmetic writes them."""
+        half = self._halves[operator.index(i)]
+        coeffs = _complete(half, self.grid, half.shape[-1] - 1)
+        coeffs[..., self.grid.points_per_axis // 2 + 1 :] += 0.0
+        return SpectralField(self.grid, coeffs)
 
     def __iter__(self):
-        return (SpectralField(self.grid, c) for c in self.coeffs)
+        return (self[i] for i in range(len(self)))
 
     @property
     def final(self) -> SpectralField:
@@ -239,6 +248,10 @@ class Trajectory:
 
     def state_at(self, t: float) -> SpectralField:
         return self[self.node_index(t)]
+
+    def _restart(self, i: int) -> "Trajectory":
+        """Nodes i onward with time measured from node i, sharing this trajectory's storage."""
+        return self._adopt(self.times[i:] - self.times[i], self.grid, self._halves[i:], self.equation, self.config)
 
     def max_relative_divergence(self) -> float:
         from .spectral import relative_divergence
@@ -265,17 +278,28 @@ class _KernelInput:
         self.grid, self.half, self.band = grid, half, band
         self.shared_parts = None
 
-    def jacobian_parts(self) -> tuple:
-        """Physical Def = (J + J^T)/2 and Rot = (J - J^T)/2, J[i, j] = d_j f_i."""
+    def jacobian_parts(self) -> np.ndarray:
+        """Physical Def = (J + J^T)/2 and Rot = (J - J^T)/2, J[i, j] = d_j f_i, in
+        J's own buffer P: Def_ij at P[i, j] for i <= j, Rot_ij at P[j, i] for i < j."""
         if self.shared_parts is not None:
             return self.shared_parts
         wavenumbers = _half_cube(self.grid, self.band).wavenumbers
         jac = _irfft(np.stack([self.half * (1j * k) for k in wavenumbers], axis=1), self.grid, self.band)
-        jac_t = np.swapaxes(jac, 0, 1)
-        d, r = jac + jac_t, jac - jac_t
-        d *= 0.5
-        r *= 0.5
-        return d, r
+        for i, j in itertools.combinations(range(self.grid.dim), 2):
+            jac[i, j], jac[j, i] = (jac[i, j] + jac[j, i]) * 0.5, (jac[i, j] - jac[j, i]) * 0.5
+        return jac
+
+
+def _def_rot(d: np.ndarray, r: np.ndarray, i: int, j: int) -> np.ndarray:
+    """(Def Rot)_ij = sum over m != j of Def_im Rot_mj in m order, Def and Rot
+    read from packed parts d and r (jacobian_parts); Rot_mj = -Rot_jm."""
+    total = None
+    for m in (m for m in range(len(d)) if m != j):
+        term = d[min(i, m), max(i, m)] * r[max(m, j), min(m, j)]
+        if m > j:
+            np.negative(term, out=term)
+        total = term if total is None else np.add(total, term, out=total)
+    return total
 
 
 def _kernel_inputs(u: SpectralField, v: SpectralField | None) -> tuple:
@@ -283,11 +307,15 @@ def _kernel_inputs(u: SpectralField, v: SpectralField | None) -> tuple:
     stays u.  The band test reads the slabs outside the dealias cube once."""
     grid = u.grid
     fields = [u] if v is None or v is u else [u, v]
-    band = grid.dealias_keep
-    if not all(_in_band(f.coeffs, grid, band) for f in fields):
-        band = grid.points_per_axis // 2
+    band = _data_band(grid, *(f.coeffs for f in fields))
     inputs = [_KernelInput(grid, _cut_half(f.coeffs, grid, band), band) for f in fields]
     return inputs[0], (None if v is None else inputs[-1])
+
+
+def _node_inputs(grid: TorusGrid, u: np.ndarray, v: np.ndarray | None) -> tuple:
+    """_kernel_inputs of stored half cubes: both on the wider band, the narrower zero-filled to it."""
+    band = max(x.shape[-1] for x in (u, v) if x is not None) - 1
+    return tuple(None if x is None else _KernelInput(grid, _cut_half(x, grid, band), band) for x in (u, v))
 
 
 def _flux_half(grid: TorusGrid, cu: np.ndarray, cw: np.ndarray | None, band: int) -> np.ndarray:
@@ -340,9 +368,9 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
     with pointwise matrix products; the result is div of that tensor,
     dealiased.  Symmetric in (f, g); identically zero for alpha = 0.  Each
     distinct argument costs one inverse transform of its Jacobian, pruned
-    to the dealias cube when both arguments lie in it; the tensor's forward
-    transform and the multipliers run on the dealias half cube, and the
-    result is completed to the full lattice.
+    to the dealias cube when both arguments lie in it, whose buffer holds
+    its Def and Rot; the tensor's forward transform and the multipliers run
+    on the dealias half cube, and the result is completed to the lattice.
     """
     grid = cfg.grid
     if f.grid != grid or g.grid != grid:
@@ -351,15 +379,13 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
         return SpectralField(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
     if not (isinstance(f, _KernelInput) and isinstance(g, _KernelInput)):
         f, g = _kernel_inputs(f, g)
-    d_f, r_f = f.jacobian_parts()
-    if g is f:
-        prod = np.einsum("im...,mj...->ij...", d_f, r_f)
-        prod += prod
-    else:
-        d_g, r_g = g.jacobian_parts()
-        prod = np.einsum("im...,mj...->ij...", d_f, r_g) + np.einsum("im...,mj...->ij...", d_g, r_f)
-        del d_g, r_g
-    del d_f, r_f  # parts that no later call shares are freed before the forward transform
+    parts_f = f.jacobian_parts()
+    parts_g = parts_f if g is f else g.jacobian_parts()
+    prod = _work(1, parts_f.shape, parts_f.dtype)  # _rfft reads it before it writes work slot 1
+    for i, j in itertools.product(range(grid.dim), repeat=2):
+        first = _def_rot(parts_f, parts_g, i, j)
+        np.add(first, first if g is f else _def_rot(parts_g, parts_f, i, j), out=prod[i, j])
+    del parts_f, parts_g  # parts that no later call shares are freed before the forward transform
     band = grid.dealias_keep
     stress = _rfft(prod, grid, band) * _stress_multiplier(grid, cfg.alpha)
     return SpectralField(grid, _complete(_divergence_half(stress, grid), grid, band))
@@ -392,19 +418,10 @@ def _nonlinear_terms(u: SpectralField, cfg: LansConfig) -> SpectralField:
 
 def _rhs_half(cfg: LansConfig, u: _KernelInput, v: _KernelInput | None) -> np.ndarray:
     """The kernel's cube-level entry: -P[_nonlinear_half] on the dealias half
-    cube.  nonlinear_rhs completes it; a caller that keeps it makes its
-    k_last = 0 plane Hermitian, as _complete does, and only once: a second
-    _hermitian_planes pass can flip the sign of a zero."""
-    return -_leray(_nonlinear_half(cfg, u, v), u.grid, u.grid.dealias_keep)
-
-
-def _complete_row(row: np.ndarray, half: np.ndarray, grid: TorusGrid, band: int):
-    """row[...] = _complete(half, grid, band) with the zeros of the mirrored
-    half (m_last < 0) written as +0.0, as lattice arithmetic gives them; a
-    conjugate mirror gives -0.0 where the Leray projection zeroes a mode."""
-    row[...] = _complete(half, grid, band)
-    mirrored = row[..., grid.points_per_axis // 2 + 1 :]
-    mirrored += 0.0
+    cube, its k_last = 0 plane made Hermitian as _complete makes it;
+    nonlinear_rhs completes it."""
+    keep = u.grid.dealias_keep
+    return _hermitian_planes(-_leray(_nonlinear_half(cfg, u, v), u.grid, keep), u.grid, keep)
 
 
 def nonlinear_rhs(u: SpectralField, cfg: LansConfig, v: SpectralField | None = None) -> SpectralField:
@@ -447,12 +464,12 @@ def _require_grid(u0: SpectralField, cfg: LansConfig):
         raise GridMismatchError("initial data and configuration live on different grids")
 
 
-def _background_states(v_traj: Trajectory | None, times: np.ndarray, grid: TorusGrid) -> list:
+def _background_nodes(v_traj: Trajectory | None, times: np.ndarray, grid: TorusGrid) -> list:
     if v_traj is None:
         return [None] * len(times)
     if v_traj.grid != grid:
         raise ValueError("background trajectory lives on a different grid")
-    return [v_traj.state_at(t) for t in times]
+    return [v_traj._halves[v_traj.node_index(t)] for t in times]
 
 
 def duhamel_map(
@@ -470,58 +487,57 @@ def duhamel_map(
     trapezoid rule with the semigroup factor applied exactly per node via
     the recurrence I_i = E I_(i-1) + increment, E = one-step semigroup;
     the heat flow of u0 follows the same recurrence, H_i = E H_(i-1).  I
-    lives on the dealias half cube, H on u0's (the half lattice past it).
+    lives on the dealias half cube, H and the image on u0's (the half lattice past it).
     """
     _require_grid(u0, cfg)
     grid = cfg.grid
-    keep = grid.dealias_keep
-    band = keep if _in_band(u0.coeffs, grid, keep) else grid.points_per_axis // 2
+    band = _data_band(grid, u0.coeffs)
     times = traj.times
     dt = float(times[1] - times[0])
-    v_states = _background_states(v_traj, times, grid)
-    heat_mult, step_mult = (np.exp(-cfg.nu * dt * _half_cube(grid, b).k_squared) for b in (band, keep))
-
-    n_halves = [_rhs_half(cfg, *_kernel_inputs(u, v)) for u, v in zip(traj, v_states)]
-    for n in n_halves:
-        _hermitian_planes(n, grid, keep)
-    coeffs = np.empty((len(times),) + u0.coeffs.shape, dtype=np.complex128)
-    if times[0] > 0:
-        coeffs[0] = heat_propagate(u0, times[0], cfg.nu).coeffs
-        heat = _cut_half(coeffs[0], grid, band)
-    else:
-        heat, coeffs[0] = _cut_half(u0.coeffs, grid, band), dealias(u0).coeffs
+    v_nodes = _background_nodes(v_traj, times, grid)
+    heat_mult, step_mult = (np.exp(-cfg.nu * dt * _half_cube(grid, b).k_squared) for b in (band, grid.dealias_keep))
+    _WORK.slots = [b"", b""]  # the kernel calls below reuse the transforms' work arrays
+    n_halves = [_rhs_half(cfg, *_node_inputs(grid, u, v)) for u, v in zip(traj._halves, v_nodes)]
+    del _WORK.slots
+    heat = _cut_half(u0.coeffs, grid, band) * np.exp(-cfg.nu * times[0] * _half_cube(grid, band).k_squared)
+    halves = np.empty((len(times),) + heat.shape, dtype=np.complex128)
+    halves[0] = heat if times[0] > 0 else _cut_half(dealias(u0).coeffs, grid, band)
     integral = np.zeros_like(n_halves[0])
     for i in range(1, len(times)):
         integral = step_mult * (integral + 0.5 * dt * n_halves[i - 1]) + 0.5 * dt * n_halves[i]
         heat = heat_mult * heat
-        total = heat + (integral if band == keep else _cut_half(_complete(integral, grid, keep), grid, band))
-        _complete_row(coeffs[i], total, grid, band)
-    return Trajectory._adopt(times, grid, coeffs, traj.equation, cfg)
+        np.add(heat, _cut_half(integral, grid, band), out=halves[i])
+    return Trajectory._adopt(times, grid, halves, traj.equation, cfg)
 
 
-def _weighted_trace(times, coeffs, a: float, index: BesovIndex, grid: TorusGrid) -> tuple:
-    """(times, t^a * besov_norm) over the nodes, given one coefficient array
-    per node on the grid.  The t = 0 node is skipped when a > 0 and has
-    weight 1 otherwise."""
-    part = build_partition(grid)
+def _weighted_trace(plus: list, minus: list, a: float, index: BesovIndex, start: int = 0, step: int = 1) -> tuple:
+    """(times, t^a * besov_norm) over plus[0]'s nodes of sum(plus) - sum(minus[start::step]),
+    formed node by node (whole stacked arrays raise peak memory) from the stored half
+    cubes on their widest band.  The t = 0 node is skipped when a > 0, else has weight 1."""
+    grid, part = plus[0].grid, build_partition(plus[0].grid)
+    band = max(traj._halves.shape[-1] for traj in plus + minus) - 1
+
+    def node(trajs, i):
+        return reduce(operator.add, (_cut_half(traj._halves[i], grid, band) for traj in trajs))
     ts, values = [], []
-    for t, c in zip(times, coeffs):
+    for i, t in enumerate(plus[0].times):
         if t == 0.0 and a > 0:
             continue
+        c = node(plus, i) - node(minus, start + i * step) if minus else node(plus, i)
         ts.append(t)
-        values.append((1.0 if t == 0.0 else t**a) * part.besov_norm(SpectralField(grid, c), index))
+        values.append((1.0 if t == 0.0 else t**a) * part._half_besov(c, index, 0))
     return np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
 
 
-def _weighted_sup(times, coeffs, a: float, index: BesovIndex, grid: TorusGrid) -> float:
-    """sup_t t^a * besov_norm over the nodes, 0.0 when none counts."""
-    return float(np.max(_weighted_trace(times, coeffs, a, index, grid)[1], initial=0.0))
+def _weighted_sup(plus: list, minus: list, a: float, index: BesovIndex, start: int = 0, step: int = 1) -> float:
+    """sup_t t^a * besov_norm over the nodes of _weighted_trace, 0.0 when none counts."""
+    return float(np.max(_weighted_trace(plus, minus, a, index, start, step)[1], initial=0.0))
 
 
 def weighted_norm(traj: Trajectory, a: float, index: BesovIndex) -> float:
     """sup over stored nodes of t^a * besov_norm(u(t)); the t = 0 node
     participates only when a = 0."""
-    return _weighted_sup(traj.times, traj.coeffs, a, index, traj.grid)
+    return _weighted_sup([traj], [], a, index)
 
 
 def picard_iterate(
@@ -551,13 +567,9 @@ def picard_iterate(
         mcfg.validate_weight_relation(grid.dim)
     u0 = leray_project(dealias(u0))
     times = mcfg.time_nodes()
-
-    current = Trajectory(
-        times,
-        [heat_propagate(u0, t, cfg.nu) for t in times],
-        equation="mlans" if v_traj is not None else "lans",
-        config=cfg,
-    )
+    start, ksq = _cut_half(u0.coeffs, grid, grid.dealias_keep), _half_cube(grid, grid.dealias_keep).k_squared
+    heat = np.stack([start * np.exp(-cfg.nu * t * ksq) for t in times])  # u0's heat flow, on the dealias half cube
+    current = Trajectory._adopt(times, grid, heat, "mlans" if v_traj is not None else "lans", cfg)
     history: list = []
     prev_delta = None
     for m in range(1, mcfg.picard_max_iters + 1):
@@ -591,8 +603,7 @@ def picard_iterate(
 
 
 def _weighted_distance(a: Trajectory, b: Trajectory, mcfg: MildSolverConfig) -> float:
-    gaps = (x - y for x, y in zip(a.coeffs, b.coeffs))
-    return _weighted_sup(a.times, gaps, mcfg.weight_a, mcfg.weight_index, a.grid)
+    return _weighted_sup([a], [b], mcfg.weight_a, mcfg.weight_index)
 
 
 _PHI2_TAYLOR = 1.0 / np.array([math.factorial(n + 2) for n in range(18)], dtype=float)
@@ -627,40 +638,32 @@ def _march(
     equation: str,
 ) -> Trajectory:
     """The exponential-integrator march.  u, the stage and the kernel outputs
-    live on the dealias half cube, which holds every state; each state is
-    completed once into its row of the full-lattice trajectory."""
+    live on the dealias half cube, which holds every state and is where the
+    trajectory keeps them."""
     _require_grid(u0, cfg)
     grid = cfg.grid
     keep = grid.dealias_keep
     require_solenoidal(u0)
     times = _time_nodes(t_end, dt)
-    v_states = _background_states(v_traj, times, grid)
+    v_nodes = _background_nodes(v_traj, times, grid)
+    _WORK.slots = [b"", b""]  # the kernel calls below reuse the transforms' work arrays
     e_dt, phi1, phi2 = _phi_factors(-cfg.nu * dt * _half_cube(grid, keep).k_squared)
 
-    def rhs(u_half, v):
-        band = keep if v is None else v.band
-        if band != keep:  # a background node outside the dealias cube
-            u_half = _cut_half(_complete(u_half, grid, keep), grid, band)
-        out = _rhs_half(cfg, _KernelInput(grid, u_half, band), v)
-        _hermitian_planes(out, grid, keep)
-        return out
-
-    coeffs = np.empty((len(times),) + u0.coeffs.shape, dtype=np.complex128)
-    coeffs[0] = leray_project(dealias(u0)).coeffs
-    u = _cut_half(coeffs[0], grid, keep)
-    backgrounds = (None if v is None else _kernel_inputs(v, None)[0] for v in v_states)
-    for i, (v_now, v_next) in enumerate(itertools.pairwise(backgrounds)):
+    u = _cut_half(leray_project(dealias(u0)).coeffs, grid, keep)
+    halves = np.empty((len(times),) + u.shape, dtype=np.complex128)
+    halves[0] = u
+    for i, (v_now, v_next) in enumerate(itertools.pairwise(v_nodes)):
         if nonlinear:
-            n_u = rhs(u, v_now)
+            n_u = _rhs_half(cfg, *_node_inputs(grid, u, v_now))
             stage = e_dt * u + dt * phi1 * n_u
-            nxt = stage + dt * phi2 * (rhs(stage, v_next) - n_u)
+            nxt = stage + dt * phi2 * (_rhs_half(cfg, *_node_inputs(grid, stage, v_next)) - n_u)
         else:
             nxt = e_dt * u
-        u = _leray(nxt, grid, keep)
+        u = halves[i + 1] = _leray(nxt, grid, keep)
         if not np.isfinite(u).all():
             raise SolverBlowupError(i + 1, float(times[i + 1]))
-        _complete_row(coeffs[i + 1], u, grid, keep)
-    return Trajectory._adopt(times, grid, coeffs, equation, cfg)
+    del _WORK.slots
+    return Trajectory._adopt(times, grid, halves, equation, cfg)
 
 
 def solve_lans(

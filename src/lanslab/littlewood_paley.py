@@ -218,16 +218,21 @@ class DyadicPartition:
         grid, so they equal lp_norm of the dense block bit for bit.
         """
         self._check_grid(f)
+        return self._half_norms(f.coeffs, p)
+
+    def _half_norms(self, half: np.ndarray, p: float) -> np.ndarray:
+        """block_lp_norms from a half cube (or lattice coefficients), zero-filled where a block is wider."""
         out = np.empty(self.j_max + 1)
-        vol = f.grid.box_length**f.grid.dim
+        vol = self.grid.box_length**self.grid.dim
         for j, band in enumerate(self.bands):
+            cube = _cut_half(half, self.grid, band)
             if p == 2:
                 # sum over lead axes so vectors use the Euclidean magnitude
-                mags = np.abs(_cut_half(f.coeffs, self.grid, band)) ** 2
-                mags = self.cubes[j] ** 2 * mags.reshape((-1,) + self.cubes[j].shape).sum(axis=0)
+                mags = self.cubes[j] ** 2 * (np.abs(cube) ** 2).reshape((-1,) + self.cubes[j].shape).sum(axis=0)
                 out[j] = np.sqrt(vol * (mags.sum() + mags[..., 1:].sum()))
             else:
-                out[j] = _lp_quadrature(_irfft(self._block(f, j), self.grid, band), f.rank, self.grid, p)
+                samples = _irfft(cube * self.cubes[j], self.grid, band)
+                out[j] = _lp_quadrature(samples, half.ndim - self.grid.dim, self.grid, p)
         return out
 
     def besov_norm(self, f: SpectralField, index: BesovIndex, homogeneous: bool = False) -> float:
@@ -236,8 +241,12 @@ class DyadicPartition:
         homogeneous=True skips block 0, matching homogeneous-space
         comparisons on mean-zero data.
         """
-        norms = self.block_lp_norms(f, index.p)
-        j0 = 1 if homogeneous else 0
+        self._check_grid(f)
+        return self._half_besov(f.coeffs, index, 1 if homogeneous else 0)
+
+    def _half_besov(self, half: np.ndarray, index: BesovIndex, j0: int) -> float:
+        """besov_norm from block j0 on, of the field whose half cube half holds."""
+        norms = self._half_norms(half, index.p)
         js = np.arange(j0, self.j_max + 1)
         terms = 2.0 ** (js * index.s) * norms[j0:]
         if index.q == np.inf:

@@ -443,7 +443,7 @@ class TraceReport:
 
 def higher_regularity_trace(traj: Trajectory, k: float, base: float, q: float = 2.0) -> TraceReport:
     weight = (k - base) / 2.0
-    times, values = _weighted_trace(traj.times, traj.coeffs, weight, BesovIndex(k, 2.0, q), traj.grid)
+    times, values = _weighted_trace([traj], [], weight, BesovIndex(k, 2.0, q))
     return TraceReport(
         times=times,
         values=values,
@@ -481,7 +481,6 @@ def bootstrap_consistency(
         if v_traj is None:
             raise ValueError("restarting a perturbation run needs its background trajectory")
         _check_aligned(traj, v_traj)
-        v_slice = Trajectory._adopt(times[i1:] - times[i1], v_traj.grid, v_traj.coeffs[i1:], v_traj.equation, v_traj.config)
+        v_slice = v_traj._restart(i1)
     rerun = _march(traj[i1], cfg, t_rem, dt, v_slice, True, traj.equation)
-    gaps = (a - b for a, b in zip(rerun.coeffs, traj.coeffs[i1:]))
-    return _weighted_sup(rerun.times, gaps, 0.0, BesovIndex(1.5, 2.0, 2.0), traj.grid)
+    return _weighted_sup([rerun], [traj], 0.0, BesovIndex(1.5, 2.0, 2.0), start=i1)

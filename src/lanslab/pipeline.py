@@ -209,19 +209,16 @@ def run_pipeline(pcfg: PipelineConfig) -> PipelineReport:
     w_traj = solve_lans(w0, cfg, pcfg.t_end, dt)
 
     idx = BesovIndex(3.0 / pcfg.p, pcfg.p, pcfg.q)
-    # gaps are formed node by node: whole stacked gap arrays raise peak memory
-    gaps = ((u + v) - w for u, v, w in zip(u_traj.coeffs, v_traj.coeffs, w_traj.coeffs))
-    _, disc_trace = _weighted_trace(w_traj.times, gaps, 0.0, idx, grid)
+    _, disc_trace = _weighted_trace([u_traj, v_traj], [w_traj], 0.0, idx)
     discrepancy = float(np.max(disc_trace))
 
     # self-convergence at dt/2 for both sides of the comparison
     w_half = solve_lans(w0, cfg, pcfg.t_end, dt / 2.0)
-    err_w = _weighted_sup(w_traj.times, (a - b for a, b in zip(w_traj.coeffs, w_half.coeffs[::2])), 0.0, idx, grid)
+    err_w = _weighted_sup([w_traj], [w_half], 0.0, idx, step=2)
     del w_half
     v_half = solve_lans(v0, cfg, pcfg.t_end, dt / 2.0)
     u_half = solve_mlans(u0, v_half, cfg, pcfg.t_end, dt / 2.0)
-    err_uv = _weighted_sup(w_traj.times, ((u + v) - (uh + vh) for u, v, uh, vh in zip(
-        u_traj.coeffs, v_traj.coeffs, u_half.coeffs[::2], v_half.coeffs[::2])), 0.0, idx, grid)
+    err_uv = _weighted_sup([u_traj, v_traj], [u_half, v_half], 0.0, idx, step=2)
     del u_half, v_half
     self_error = max(err_w, err_uv)
 

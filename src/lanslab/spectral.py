@@ -17,7 +17,8 @@ only FFT call sites.
 Band mode: a band K < N/2 limits an array to the half cube |m_i| <= K,
 m_last >= 0 (FFT order, side 2K + 1 and K + 1 on the last axis), the one
 layout of band-limited arrays.  _cut_half cuts it from lattice
-coefficients and _complete turns it back into them; _rfft makes and
+coefficients or a wider band, or zero-fills a narrower band to it, and
+_complete turns it back into lattice coefficients; _rfft makes and
 _irfft reads only it, skipping the FFT lines that are zero on input or
 thrown away on output (FFT pruning; Markel 1971, Sorensen & Burrus 1993),
 and equal truncate-then-transform bit for bit.  _forward_band(x, grid,
@@ -50,6 +51,9 @@ half-cube arrays of each grid value and band, each built on first use.
 from __future__ import annotations
 
 import itertools
+import math
+import mmap
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -380,37 +384,43 @@ def _band_runs(n: int, band: int) -> tuple:
 
 
 def _cut_half(coeffs: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
-    """The half cube |m_i| <= band, m_last >= 0 of lattice coefficients (a
-    copy), or their half lattice (a view) when band >= N/2."""
+    """The half cube |m_i| <= band, m_last >= 0 (the half lattice when band >= N/2) of the field whose
+    lattice, half lattice or half cube coeffs holds (its band: the last axis' length - 1): a cut (a
+    copy) when band is narrower, coeffs zero-filled to it when wider, else a view of coeffs."""
     n = grid.points_per_axis
-    if band >= n // 2:
-        return _half(coeffs, grid)
-    return coeffs[(...,) + _cube_index(n, band, grid.dim)]
-
-
-def _in_band(coeffs: np.ndarray, grid: TorusGrid, band: int) -> bool:
-    """Whether the half lattice of coefficients is zero outside the cube
-    |m_i| <= band: a test for any nonzero in the slab m_last > band and, per
-    leading axis, the slab |m_axis| > band."""
-    n, dim = grid.points_per_axis, grid.dim
-    if band >= n // 2:
-        return True
-    half = _half(coeffs, grid)
-    slabs = [half[..., band + 1 :]]
-    for axis in range(dim - 1):
-        pick = [slice(None)] * (dim - 1) + [slice(0, band + 1)]
-        pick[axis] = slice(band + 1, n - band)
-        slabs.append(half[(...,) + tuple(pick)])
-    return not any(np.any(s) for s in slabs)
-
-
-def _spread(a: np.ndarray, axis: int, n: int, band: int) -> np.ndarray:
-    """Zero-fill one FFT-ordered cube axis (side 2 band + 1) to the lattice side n."""
-    out = np.zeros(a.shape[:axis] + (n,) + a.shape[axis + 1 :], dtype=a.dtype)
-    lead = (slice(None),) * axis
-    for lattice, cube in _band_runs(n, band):
-        out[lead + (lattice,)] = a[lead + (cube,)]
+    have, band = min(coeffs.shape[-1] - 1, n // 2), min(band, n // 2)
+    if band <= have:
+        return _half(coeffs, grid) if band == have else coeffs[(...,) + _cube_index(coeffs.shape[-2], band, grid.dim)]
+    side = n if band == n // 2 else 2 * band + 1
+    out = np.zeros(coeffs.shape[: -grid.dim] + (side,) * (grid.dim - 1) + (band + 1,), dtype=np.complex128)
+    out[(...,) + _cube_index(side, have, grid.dim)] = coeffs
     return out
+
+
+def _data_band(grid: TorusGrid, *arrays) -> int:
+    """The dealias band K when no coefficient array has a nonzero in the half
+    lattice's slabs m_last > K and, per leading axis, |m_axis| > K; else N/2."""
+    n, dim, keep = grid.points_per_axis, grid.dim, grid.dealias_keep
+    slabs = [(..., slice(keep + 1, n // 2 + 1))]
+    for axis in range(dim - 1):
+        pick = [slice(None)] * (dim - 1) + [slice(0, keep + 1)]
+        pick[axis] = slice(keep + 1, n - keep)
+        slabs.append((...,) + tuple(pick))
+    return n // 2 if any(np.any(a[s]) for a in arrays for s in slabs) else keep
+
+
+_WORK = threading.local()  # .slots: the two work arrays of the march or Duhamel map this thread runs
+
+
+def _work(slot: int, shape: tuple, dtype=np.complex128) -> np.ndarray:
+    """Work array slot (0 or 1) of the pruned transforms: in a march or Duhamel map its slot, grown and reused
+    (anonymous mappings, so dropping them leaves malloc's heap and thresholds alone), else a fresh array."""
+    slots, size = getattr(_WORK, "slots", None), math.prod(shape) * np.dtype(dtype).itemsize
+    if slots is None:
+        return np.empty(shape, dtype=dtype)
+    if len(slots[slot]) < size:
+        slots[slot] = mmap.mmap(-1, size)
+    return np.ndarray(shape, dtype=dtype, buffer=slots[slot])
 
 
 def _rfft(samples: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.ndarray:
@@ -426,9 +436,14 @@ def _rfft(samples: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.n
     n = grid.points_per_axis
     if band is None or band >= n // 2:
         return np.fft.rfftn(samples, axes=axes, norm="forward")
-    a = np.fft.rfft(samples, axis=-1, norm="forward")[..., : band + 1]
-    for axis in reversed(axes[:-1]):
-        a = np.take(np.fft.fft(a, axis=axis, norm="forward"), _band_axis(n, band), axis=axis)
+    full = np.fft.rfft(samples, axis=-1, norm="forward", out=_work(0, samples.shape[:-1] + (n // 2 + 1,)))
+    a = _work(1, samples.shape[:-1] + (band + 1,))  # rfft has read samples, which may live in slot 1
+    a[...] = full[..., : band + 1]
+    for i, axis in enumerate(reversed(axes[:-1])):
+        np.fft.fft(a, axis=axis, norm="forward", out=a)
+        shape = a.shape[:axis] + (2 * band + 1,) + a.shape[axis + 1 :]
+        out = np.empty(shape, dtype=np.complex128) if axis == axes[0] else _work(i % 2, shape)
+        a = np.take(a, _band_axis(n, band), axis=axis, out=out, mode="clip")
     return a
 
 
@@ -445,8 +460,12 @@ def _irfft(coeffs: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.n
     if band is None or band >= n // 2:
         half = _half(coeffs, grid)
         return np.fft.irfftn(half, s=grid.shape, axes=_axes(half, grid), norm="forward")
-    for axis in _axes(coeffs, grid)[:-1]:
-        coeffs = np.fft.ifft(_spread(coeffs, axis, n, band), axis=axis, norm="forward")
+    for i, axis in enumerate(_axes(coeffs, grid)[:-1]):
+        spread, lead = _work(i % 2, coeffs.shape[:axis] + (n,) + coeffs.shape[axis + 1 :]), (slice(None),) * axis
+        spread[lead + (slice(band + 1, n - band),)] = 0
+        for lattice, cube in _band_runs(n, band):
+            spread[lead + (lattice,)] = coeffs[lead + (cube,)]
+        coeffs = np.fft.ifft(spread, axis=axis, norm="forward", out=spread)
     return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
 
 
@@ -461,18 +480,20 @@ def _conj_mirror(src: np.ndarray, out: np.ndarray, grid: TorusGrid, last: tuple)
         np.conjugate(src[(...,) + tuple(p[1] for p in picks)], out=out[(...,) + tuple(p[0] for p in picks)])
 
 
-def _hermitian_planes(half: np.ndarray, grid: TorusGrid, band: int):
+def _hermitian_planes(half: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
     """Replace the self-mirrored planes of the half cube of band (the half
     lattice when band >= N/2) by their Hermitian part (c(k) + conj c(-k))/2,
-    in place: k_last = 0, and k_last = N/2 on the half lattice.  On planes
-    that are already Hermitian this changes nothing."""
+    in place, and return half: k_last = 0, and k_last = N/2 on the half
+    lattice.  It is idempotent bit for bit: a Hermitian plane stays as it is."""
     n = grid.points_per_axis
     for m in (0, n // 2) if band >= n // 2 else (0,):
         plane = half[..., m : m + 1]
         mirror = np.empty_like(plane)
         _conj_mirror(plane, mirror, grid, ((slice(None), slice(None)),))
         plane += mirror
-        plane *= 0.5
+        plane.real *= 0.5  # a real factor keeps the sign of every zero, so a second pass changes nothing
+        plane.imag *= 0.5
+    return half
 
 
 def _full(half: np.ndarray, grid: TorusGrid, n: int | None = None) -> np.ndarray:
@@ -595,7 +616,7 @@ def heat_propagate(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField
     """Exact heat semigroup exp(nu t Lap) as a diagonal multiplier; finite t >= 0 and nu >= 0.
 
     The multiplier is formed and applied on the dealias half cube when f
-    lies in it (_in_band), else on the half lattice, and the result is
+    lies in it (_data_band), else on the half lattice, and the result is
     completed from there: for Hermitian f it equals the lattice multiply.
     """
     if not (np.isfinite(t) and np.isfinite(nu) and nu >= 0):
@@ -603,7 +624,7 @@ def heat_propagate(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField
     if t < 0:
         raise ValueError(f"heat propagation needs t >= 0, got {t}")
     grid = f.grid
-    band = grid.dealias_keep if _in_band(f.coeffs, grid, grid.dealias_keep) else grid.points_per_axis // 2
+    band = _data_band(grid, f.coeffs)
     half = _cut_half(f.coeffs, grid, band) * np.exp(-nu * t * _half_cube(grid, band).k_squared)
     return SpectralField(grid, _complete(half, grid, band))
 

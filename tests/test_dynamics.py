@@ -43,7 +43,8 @@ from lanslab import (
     solve_mlans,
     weighted_norm,
 )
-from lanslab.dynamics import _nonlinear_terms, _phi_factors
+from lanslab.dynamics import _nonlinear_terms, _phi_factors, _stress_multiplier, _divergence_half, _weighted_distance
+from lanslab.spectral import _complete, _cut_half, _rfft
 from lanslab.monitor import energy_pair
 from conftest import mirrored, zero_field
 
@@ -63,6 +64,22 @@ def grid16_mod():
 def band_field(grid, seed, k_max=3.0, scale=1.0):
     u = random_solenoidal(grid, np.random.default_rng(seed), k_min=1.0, k_max=k_max)
     return u * (scale / l2_norm(u))
+
+
+def assert_same_bits(got, want):
+    """Equal values and equal signs, zeros included."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def projected_noise(grid, seed, scale=0.3):
+    """A solenoidal field with content on the whole lattice, Nyquist planes included."""
+    noise = np.random.default_rng(seed).standard_normal((grid.dim,) + grid.shape)
+    return leray_project(forward_transform(noise, grid)) * scale
+
+
+ORACLE_GRIDS = [TorusGrid(dim=3, points_per_axis=16), TorusGrid(dim=2, points_per_axis=32)]
 
 
 def physical_product(A, B, pattern):
@@ -116,6 +133,71 @@ class TestReynoldsStress:
         expected = composed_stress(f, g, cfg16)
         got = reynolds_stress(f, g, cfg16)
         assert l2_norm(got - dealias(expected)) <= 1e-12 * max(l2_norm(expected), 1e-300)
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    @pytest.mark.parametrize("data", ["in_cube", "projected_noise"])
+    @pytest.mark.parametrize("pair", ["self", "mixed"])
+    def test_bits_of_the_einsum_products(self, grid, alpha, data, pair):
+        # Def and Rot are formed in the Jacobian's buffer and each product
+        # entry is a two-term sum; projected noise takes the half lattice
+        cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
+        if data == "in_cube":
+            f, g = band_field(grid, 80, k_max=5.0), band_field(grid, 81, k_max=5.0)
+        else:
+            f, g = projected_noise(grid, 80), projected_noise(grid, 81)
+        g = f if pair == "self" else g
+        assert_same_bits(reynolds_stress(f, g, cfg).coeffs, einsum_stress(f, g, cfg))
+
+
+def einsum_stress(f, g, cfg):
+    """reynolds_stress by the arithmetic its products replaced: Def and Rot
+    as separate arrays from inverse_transform(gradient(.)), multiplied by
+    np.einsum; the forward transform, the multiplier and the divergence are
+    the kernel's own.  Returns the lattice coefficients."""
+    grid = cfg.grid
+
+    def parts(h):
+        jac = inverse_transform(gradient(h))
+        jac_t = np.swapaxes(jac, 0, 1)
+        d, r = jac + jac_t, jac - jac_t
+        d *= 0.5
+        r *= 0.5
+        return d, r
+
+    (d_f, r_f), (d_g, r_g) = parts(f), parts(g)
+    if g is f:
+        prod = np.einsum("im...,mj...->ij...", d_f, r_f)
+        prod += prod
+    else:
+        prod = np.einsum("im...,mj...->ij...", d_f, r_g) + np.einsum("im...,mj...->ij...", d_g, r_f)
+    keep = grid.dealias_keep
+    stress = _rfft(prod, grid, keep) * _stress_multiplier(grid, cfg.alpha)
+    return _complete(_divergence_half(stress, grid), grid, keep)
+
+
+class TestWorkArrays:
+    def test_threads_march_in_their_own_work_arrays(self, cfg16, grid16_mod):
+        # marches running at once in more threads than cores give the serial
+        # bits; shared work arrays would mix the threads' transforms
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        fields = [band_field(grid16_mod, seed, k_max=5.0) for seed in range(4)] * 2
+
+        def march(u0):
+            return stacked(solve_lans(u0, cfg16, 0.01, 0.0025))
+
+        want = [march(f) for f in fields]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(march, fields, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
 
 
 class TestVectorFields:
@@ -511,40 +593,46 @@ def lattice_duhamel(traj, u0, cfg, v_traj=None):
     return np.stack(states)
 
 
-def assert_same_bits(got, want):
-    """Equal values and equal signs, zeros included."""
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+def stacked(traj):
+    """The trajectory's nodes, completed to the lattice, as one array."""
+    return np.stack([node.coeffs for node in traj])
 
 
-def projected_noise(grid, seed, scale=0.3):
-    """A solenoidal field with content on the whole lattice, Nyquist planes included."""
-    noise = np.random.default_rng(seed).standard_normal((grid.dim,) + grid.shape)
-    return leray_project(forward_transform(noise, grid)) * scale
-
-
-ORACLE_GRIDS = [TorusGrid(dim=3, points_per_axis=16), TorusGrid(dim=2, points_per_axis=32)]
+def assert_same_trajectory(traj, want):
+    """Every node bit for bit.  The nodes after the first equal the lattice
+    states.  The first, the input state, is stored as its lattice state's
+    half cube and read back as that cube's completion, each bit for bit, and
+    equals the lattice state in value: a -0.0 of the lattice state outside
+    the stored half cube reads back as the completion's +0.0."""
+    got, grid = stacked(traj), traj.grid
+    band = traj._halves.shape[-1] - 1
+    assert_same_bits(got[1:], want[1:])
+    assert_same_bits(traj._halves[0], _cut_half(want[0], grid, band))
+    first = _complete(_cut_half(want[0], grid, band), grid, band)
+    first[..., grid.points_per_axis // 2 + 1 :] += 0.0
+    assert_same_bits(got[0], first)
+    assert np.array_equal(got[0], want[0])
 
 
 class TestLatticeOracle:
     """The march and the Duhamel map hold their states on the dealias half
-    cube and complete each one once; their trajectories equal the lattice
-    computations built from public primitives, bit for bit."""
+    cube, where their trajectories keep them; the completed nodes equal the
+    lattice computations built from public primitives bit for bit, the
+    input state in value and on its stored half cube (assert_same_trajectory)."""
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_solve_lans(self, grid, alpha):
         cfg = LansConfig(grid=grid, alpha=alpha, nu=0.05)
         for u0 in (band_field(grid, 70, k_max=5.0, scale=2.0), projected_noise(grid, 71)):
-            assert_same_bits(solve_lans(u0, cfg, 0.04, 0.01).coeffs, lattice_march(u0, cfg, 0.04, 0.01))
+            assert_same_trajectory(solve_lans(u0, cfg, 0.04, 0.01), lattice_march(u0, cfg, 0.04, 0.01))
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
     def test_solve_lans_without_nonlinearity(self, grid):
         cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
         u0 = band_field(grid, 72, k_max=3.0)
-        got = solve_lans(u0, cfg, 0.04, 0.01, nonlinear=False).coeffs
-        assert_same_bits(got, lattice_march(u0, cfg, 0.04, 0.01, nonlinear=False))
+        got = solve_lans(u0, cfg, 0.04, 0.01, nonlinear=False)
+        assert_same_trajectory(got, lattice_march(u0, cfg, 0.04, 0.01, nonlinear=False))
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
     @pytest.mark.parametrize("background", ["march", "outside_cube"])
@@ -557,8 +645,8 @@ class TestLatticeOracle:
         if background == "outside_cube":
             noise = projected_noise(grid, 75, scale=0.01)
             v_traj = Trajectory(v_traj.times, [s + noise for s in v_traj], config=cfg)
-        got = solve_mlans(u0, v_traj, cfg, 0.04, 0.01).coeffs
-        assert_same_bits(got, lattice_march(u0, cfg, 0.04, 0.01, v_traj))
+        got = solve_mlans(u0, v_traj, cfg, 0.04, 0.01)
+        assert_same_trajectory(got, lattice_march(u0, cfg, 0.04, 0.01, v_traj))
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
     @pytest.mark.parametrize("data", ["in_cube", "outside_cube"])
@@ -572,7 +660,7 @@ class TestLatticeOracle:
         traj = Trajectory(times, [heat_propagate(u0, t, cfg.nu) for t in times], config=cfg)
         v_traj = solve_lans(band_field(grid, 77, k_max=5.0), cfg, 0.04, 0.005)
         for v in (None, v_traj):
-            assert_same_bits(duhamel_map(traj, u0, cfg, mcfg, v).coeffs, lattice_duhamel(traj, u0, cfg, v))
+            assert_same_trajectory(duhamel_map(traj, u0, cfg, mcfg, v), lattice_duhamel(traj, u0, cfg, v))
 
 
 class TestMarchEquivariance:
@@ -675,6 +763,20 @@ class TestWeightedNorms:
         sup = max(part16_mod.besov_norm(s, idx) for s in traj)
         assert weighted_norm(traj, 0.0, idx) == pytest.approx(sup, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [2.0, 6.0])
+    def test_traces_read_the_stored_half_cubes(self, cfg16, grid16_mod, part16_mod, p):
+        # Besov blocks are formed from each node's stored half cube, a
+        # dealias cube zero-filled to the half lattice where it meets one,
+        # and equal the block norms of the completed nodes exactly
+        idx = BesovIndex(1.5, p, 2.0)
+        march = solve_lans(band_field(grid16_mod, 3), cfg16, 0.01, 0.0025)
+        noise = projected_noise(grid16_mod, 4, scale=1e-3)
+        lattice = Trajectory(march.times, [s + noise for s in march])
+        nodes = list(zip(march.times, march, lattice))
+        assert weighted_norm(march, 0.5, idx) == max(t**0.5 * part16_mod.besov_norm(a, idx) for t, a, _ in nodes[1:])
+        mcfg = MildSolverConfig(t_end=0.01, dt=0.0025, weight_index=idx)
+        assert _weighted_distance(march, lattice, mcfg) == max(part16_mod.besov_norm(a - b, idx) for _, a, b in nodes)
+
     def test_heat_flow_vanishes_at_origin(self, cfg16, grid16_mod, part16_mod):
         # t^a ||e^(t Lap) u0||_(B^s) -> 0 as t -> 0 for band-limited data
         u0 = band_field(grid16_mod, 2)
@@ -715,25 +817,26 @@ class TestPicard:
         assert all(r <= 0.5 for r in ratios)
         assert hist[-1].delta_norm < 1e-10
 
-    def test_heat_flow_made_once_per_node(self, cfg16, grid16_mod, part16_mod, monkeypatch):
-        # the start trajectory takes one heat flow per node; every Duhamel
-        # image advances the flow of u0 by the one-step factor instead
-        from lanslab import dynamics
+    def test_heat_flow_made_without_heat_propagate(self, cfg16, grid16_mod, part16_mod, monkeypatch):
+        # the start trajectory multiplies u0's dealias half cube by each
+        # node's heat factor, and every Duhamel image advances the flow of
+        # u0 by the one-step factor: neither calls heat_propagate
+        from lanslab import dynamics, spectral
 
         calls = []
-        original = dynamics.heat_propagate
+        original = spectral.heat_propagate
 
         def counting(f, t, nu=1.0):
             calls.append(t)
             return original(f, t, nu)
 
+        monkeypatch.setattr(spectral, "heat_propagate", counting)
         monkeypatch.setattr(dynamics, "heat_propagate", counting)
         u0 = band_field(grid16_mod, 0)
         u0 = u0 * (1e-2 / part16_mod.besov_norm(u0, BesovIndex(1.5, 2.0, 2.0)))
-        mcfg = self.make_mcfg()
-        traj, hist = picard_iterate(u0, None, cfg16, mcfg)
+        traj, hist = picard_iterate(u0, None, cfg16, self.make_mcfg())
         assert len(hist) >= 2
-        np.testing.assert_array_equal(calls, mcfg.time_nodes())
+        assert calls == []
 
     def test_duhamel_heat_flow_matches_the_semigroup(self, cfg16, grid16_mod):
         # with the nonlinearity absent (zero data has none) the map is the
@@ -756,8 +859,6 @@ class TestPicard:
         mcfg = self.make_mcfg()
         traj, _ = picard_iterate(u0, None, cfg16, mcfg)
         image = duhamel_map(traj, u0, cfg16, mcfg, None)
-        from lanslab.dynamics import _weighted_distance
-
         resid = _weighted_distance(image, traj, mcfg)
         assert resid < mcfg.picard_tol
 
@@ -790,7 +891,7 @@ class TestPicard:
         assert len(hist_full) > 1
         assert hist_full == hist_strided
         assert np.array_equal(traj_full.times, traj_strided.times)
-        assert np.array_equal(traj_full.coeffs, traj_strided.coeffs)
+        assert_same_bits(stacked(traj_full), stacked(traj_strided))
 
     def test_certificate_fires_above_target(self, cfg16, grid16_mod):
         # moderate data contracts at a few times 1e-4; a target below that
@@ -856,14 +957,62 @@ class TestConfigValidation:
         with pytest.raises(GridMismatchError):
             Trajectory(np.array([0.0, 0.1]), [zero_field(grid16_mod), zero_field(other)])
 
-    def test_nodes_are_views_of_the_stacked_array(self, cfg16, grid16_mod):
+    def test_nodes_complete_the_stacked_half_cubes(self, cfg16, grid16_mod):
+        # the nodes' dealias half cubes are stacked in one array; indexing,
+        # iteration and final complete a node into a fresh lattice array
+        # whose half cube is the stored one
         traj = solve_lans(band_field(grid16_mod, 0), cfg16, 0.01, 0.0025)
-        assert traj.coeffs.shape == (5, 3) + grid16_mod.shape
+        keep = grid16_mod.dealias_keep
+        assert traj._halves.shape == (5, 3, 2 * keep + 1, 2 * keep + 1, keep + 1)
         for i, node in enumerate(traj):
-            assert np.shares_memory(node.coeffs, traj.coeffs[i])
-            assert np.shares_memory(traj[i].coeffs, traj.coeffs[i])
-            assert np.array_equal(node.coeffs, traj.coeffs[i])
-        assert np.shares_memory(traj.final.coeffs, traj.coeffs[-1])
+            assert node.coeffs.shape == (3,) + grid16_mod.shape
+            assert not np.shares_memory(node.coeffs, traj._halves)
+            assert_same_bits(node.coeffs, traj[i].coeffs)
+            assert_same_bits(_cut_half(node.coeffs, grid16_mod, keep), traj._halves[i])
+            assert np.array_equal(mirrored(node.coeffs, 3), np.conj(node.coeffs))
+        assert_same_bits(traj.final.coeffs, traj[4].coeffs)
+
+    def test_march_holds_the_dealias_half_cube(self):
+        # 3 (2K + 1)^2 (K + 1) complex values per node, 6.8x fewer than 3 N^3
+        grid = TorusGrid(dim=3, points_per_axis=32)
+        traj = solve_lans(band_field(grid, 0), LansConfig(grid=grid, alpha=0.3, nu=0.05), 0.004, 0.001)
+        keep = grid.dealias_keep
+        assert traj._halves.dtype == np.complex128
+        assert traj._halves.size == len(traj) * 3 * (2 * keep + 1) ** 2 * (keep + 1)
+
+    def test_march_peak_memory(self):
+        # a 4-step 32^3 march peaks at 4.0 lattice vector fields of numpy
+        # allocations; with every node kept on the lattice it was 10.7.  The
+        # transforms' two work arrays (3.1 fields here) are anonymous mappings,
+        # which tracemalloc does not see, and the march drops them as it ends
+        import tracemalloc
+
+        from lanslab.spectral import _WORK
+
+        grid = TorusGrid(dim=3, points_per_axis=32)
+        cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
+        u0 = band_field(grid, 0, k_max=5.0)
+        solve_lans(u0, cfg, 0.004, 0.001)  # the shared multiplier arrays are built once per grid
+        tracemalloc.start()
+        try:
+            solve_lans(u0, cfg, 0.004, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "slots" not in _WORK.__dict__
+        assert peak <= 5 * 3 * 16 * grid.points_per_axis**3
+
+    def test_public_constructor_picks_the_band(self, grid16_mod):
+        # states inside the dealias cube keep its half cube; one state
+        # outside it sends every node to the half lattice
+        inside = band_field(grid16_mod, 0)
+        outside = projected_noise(grid16_mod, 1)
+        times = np.array([0.0, 0.1])
+        keep, n = grid16_mod.dealias_keep, grid16_mod.points_per_axis
+        assert Trajectory(times, [inside, inside])._halves.shape[-1] == keep + 1
+        traj = Trajectory(times, [inside, outside])
+        assert traj._halves.shape == (2, 3, n, n, n // 2 + 1)
+        assert np.array_equal(traj[1].coeffs, outside.coeffs)
 
     def test_node_index_on_long_trajectory(self, grid16_mod):
         times = 0.001 * np.arange(1001)
