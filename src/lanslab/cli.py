@@ -31,10 +31,20 @@ from .inequality_lab import (
     verify_product_estimate,
 )
 from .littlewood_paley import BesovIndex, _partition_depth, build_partition
-from .monitor import cancellation_check, energy_pair
+from .monitor import cancellation_check
 from .pipeline import CLI_KEYS, PipelineConfig, run_pipeline
 from .reporting import manifest_hash, write_csv_trace, write_json_report
-from .spectral import TorusGrid, _cube_index, _forward_band, forward_transform, gradient, inverse_transform, l2_norm
+from .spectral import (
+    TorusGrid,
+    _cube_index,
+    _forward_band,
+    _half_cube,
+    _half_parseval,
+    forward_transform,
+    gradient,
+    inverse_transform,
+    l2_norm,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -230,10 +240,11 @@ def _solve_once(equation: str, cfg: LansConfig, dt: float, t_end: float, seed: i
         traj = solve_mlans(u0, v_traj, cfg, t_end, dt)
     else:
         traj = solve_lans(u0, cfg, t_end, dt)
-    rows = [
-        (t, l2_norm(s), part.besov_norm(s, idx), energy_pair(s, cfg.alpha))
-        for t, s in zip(traj.times, traj)
-    ]
+    rows = []  # l2_norm, besov_norm and energy_pair of each node, read from its stored half cube
+    for t, half in zip(traj.times, traj._halves):
+        l2 = float(np.sqrt(_half_parseval(half, grid)))
+        h1 = _half_parseval(half, grid, _half_cube(grid, half.shape[-1] - 1).k_squared)
+        rows.append((t, l2, part._half_besov(half, idx, 0), float(l2**2 + cfg.alpha**2 * h1)))
     return traj, rows
 
 

@@ -370,14 +370,18 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
     distinct argument costs one inverse transform of its Jacobian, pruned
     to the dealias cube when both arguments lie in it, whose buffer holds
     its Def and Rot; the tensor's forward transform and the multipliers run
-    on the dealias half cube, and the result is completed to the lattice.
+    on the dealias half cube.  Two _KernelInputs (the kernel's own calls) get
+    that half cube with its k_last = 0 plane made Hermitian, the lattice
+    result cut there bit for bit; other arguments get the lattice result.
     """
     grid = cfg.grid
     if f.grid != grid or g.grid != grid:
         raise ValueError("fields must live on the configured grid")
+    kernel, band = isinstance(f, _KernelInput) and isinstance(g, _KernelInput), grid.dealias_keep
     if cfg.alpha == 0.0:
-        return SpectralField(grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128))
-    if not (isinstance(f, _KernelInput) and isinstance(g, _KernelInput)):
+        zero = np.zeros((grid.dim,) + (_half_cube(grid, band).k_squared.shape if kernel else grid.shape), complex)
+        return zero if kernel else SpectralField(grid, zero)
+    if not kernel:
         f, g = _kernel_inputs(f, g)
     parts_f = f.jacobian_parts()
     parts_g = parts_f if g is f else g.jacobian_parts()
@@ -386,9 +390,9 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
         first = _def_rot(parts_f, parts_g, i, j)
         np.add(first, first if g is f else _def_rot(parts_g, parts_f, i, j), out=prod[i, j])
     del parts_f, parts_g  # parts that no later call shares are freed before the forward transform
-    band = grid.dealias_keep
     stress = _rfft(prod, grid, band) * _stress_multiplier(grid, cfg.alpha)
-    return SpectralField(grid, _complete(_divergence_half(stress, grid), grid, band))
+    half = _hermitian_planes(_divergence_half(stress, grid), grid, band)
+    return half if kernel else SpectralField(grid, _complete(half, grid, band))
 
 
 def _viscous(u: SpectralField, cfg: LansConfig) -> SpectralField:
@@ -398,16 +402,12 @@ def _viscous(u: SpectralField, cfg: LansConfig) -> SpectralField:
 def _nonlinear_half(cfg: LansConfig, u: _KernelInput, v: _KernelInput | None) -> np.ndarray:
     """Dealias half-cube coefficients of _nonlinear_terms, given the kernel inputs."""
     grid = u.grid
-
-    def stress(f, g):
-        return _cut_half(reynolds_stress(f, g, cfg).coeffs, grid, grid.dealias_keep)
-
     if v is None:
-        return _flux_half(grid, u.half, None, u.band) + stress(u, u)
+        return _flux_half(grid, u.half, None, u.band) + reynolds_stress(u, u, cfg)
     flux = _flux_half(grid, u.half, u.half + 2.0 * v.half, u.band)
     if cfg.alpha != 0.0:
         u.shared_parts = u.jacobian_parts()
-    return flux + stress(u, u) + 2.0 * stress(u, v)
+    return flux + reynolds_stress(u, u, cfg) + 2.0 * reynolds_stress(u, v, cfg)
 
 
 def _nonlinear_terms(u: SpectralField, cfg: LansConfig) -> SpectralField:
@@ -637,9 +637,10 @@ def _march(
     nonlinear: bool,
     equation: str,
 ) -> Trajectory:
-    """The exponential-integrator march.  u, the stage and the kernel outputs
-    live on the dealias half cube, which holds every state and is where the
-    trajectory keeps them."""
+    """The exponential-integrator march.  u0 is cut to the dealias half cube and
+    projected there (leray_project(dealias(u0)) cut to it, bit for bit); u, the
+    stage and the kernel outputs live on that cube, which holds every state and
+    is where the trajectory keeps them."""
     _require_grid(u0, cfg)
     grid = cfg.grid
     keep = grid.dealias_keep
@@ -649,7 +650,7 @@ def _march(
     _WORK.slots = [b"", b""]  # the kernel calls below reuse the transforms' work arrays
     e_dt, phi1, phi2 = _phi_factors(-cfg.nu * dt * _half_cube(grid, keep).k_squared)
 
-    u = _cut_half(leray_project(dealias(u0)).coeffs, grid, keep)
+    u = _leray(_cut_half(u0.coeffs, grid, keep), grid, keep)
     halves = np.empty((len(times),) + u.shape, dtype=np.complex128)
     halves[0] = u
     for i, (v_now, v_next) in enumerate(itertools.pairwise(v_nodes)):

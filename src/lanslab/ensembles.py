@@ -17,9 +17,9 @@ All generators are deterministic functions of a numpy Generator.
 
 Each field is formed on the half cube |m_i| <= K, m_last >= 0 of its ball's
 band K (spectral's band layout): mask, envelope, decay and phases act on
-that cube only, and _complete turns it into lattice coefficients once.
-random_band_limited caps K at the dealias band, so its fields are
-dealiased; shell_field does not.
+that cube only (random_solenoidal's Leray projection too), and _complete
+turns it into lattice coefficients once.  random_band_limited caps K at the
+dealias band, so its fields are dealiased; shell_field does not.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .spectral import (
     _half_cube,
     _half_indices,
     _hermitian_planes,
+    _leray,
     _rfft,
-    leray_project,
 )
 
 __all__ = [
@@ -98,23 +98,8 @@ def _coherent_phases(grid: TorusGrid, rng: np.random.Generator, band: int) -> np
     return functools.reduce(np.multiply.outer, [w[m * j % n] for m, j in zip(_half_indices(grid, band), index)])
 
 
-def random_band_limited(
-    grid: TorusGrid,
-    rng,
-    k_min: float = 1.0,
-    k_max: float | None = None,
-    lead: tuple = (),
-    decay: float = 0.0,
-    coherent: bool = False,
-    zero_mean: bool = True,
-) -> SpectralField:
-    """Real random field supported on the spherical band [k_min, k_max],
-    dealiased.
-
-    decay > 0 multiplies coefficients by |k|^(-decay).  coherent=True uses a
-    common translated-point-mass phase instead of random phases (with a mild
-    amplitude jitter so ensembles stay non-degenerate).
-    """
+def _band_limited_half(grid: TorusGrid, rng, k_min, k_max, lead: tuple, decay, coherent, zero_mean) -> tuple:
+    """(half cube, its band) of random_band_limited's field, before _complete."""
     rng = as_rng(rng)
     if k_max is None:
         k_max = coverage_k_max(grid)
@@ -138,7 +123,28 @@ def random_band_limited(
         coeffs = coeffs * r ** (-decay)
     if zero_mean:
         coeffs[(...,) + (0,) * grid.dim] = 0.0
-    return SpectralField(grid, _complete(coeffs, grid, band))
+    return coeffs, band
+
+
+def random_band_limited(
+    grid: TorusGrid,
+    rng,
+    k_min: float = 1.0,
+    k_max: float | None = None,
+    lead: tuple = (),
+    decay: float = 0.0,
+    coherent: bool = False,
+    zero_mean: bool = True,
+) -> SpectralField:
+    """Real random field supported on the spherical band [k_min, k_max],
+    dealiased.
+
+    decay > 0 multiplies coefficients by |k|^(-decay).  coherent=True uses a
+    common translated-point-mass phase instead of random phases (with a mild
+    amplitude jitter so ensembles stay non-degenerate).
+    """
+    half, band = _band_limited_half(grid, rng, k_min, k_max, lead, decay, coherent, zero_mean)
+    return SpectralField(grid, _complete(half, grid, band))
 
 
 def random_solenoidal(
@@ -148,9 +154,14 @@ def random_solenoidal(
     k_max: float | None = None,
     decay: float = 0.0,
 ) -> SpectralField:
-    """Divergence-free mean-zero random vector field on a spherical band."""
-    f = random_band_limited(grid, rng, k_min, k_max, lead=(grid.dim,), decay=decay)
-    return leray_project(f)
+    """Divergence-free mean-zero random vector field on a spherical band.
+
+    The Leray projection acts on the band's half cube before the one
+    completion; the result equals leray_project(random_band_limited(...))
+    under ==, bit for bit on the half m_last >= 0.
+    """
+    half, band = _band_limited_half(grid, rng, k_min, k_max, (grid.dim,), decay, False, True)
+    return SpectralField(grid, _complete(_leray(half, grid, band), grid, band))
 
 
 def shell_field(

@@ -207,7 +207,7 @@ def field_to_csv(path, field: SpectralField, manifest_hash: str | None = None):
     _format17, a numpy formatter that writes the same bytes: it certifies
     finite samples with 1e-15 <= |v| < 1e16 and +-0, and hands every other
     one to '%.17g'.  Rows are built _BLOCK_ROWS at a time, so memory stays
-    at one block.
+    at one block, and each block's NULs are dropped by bytes.translate.
     """
     g = field.grid
     n = g.points_per_axis
@@ -235,4 +235,4 @@ def field_to_csv(path, field: SpectralField, manifest_hash: str | None = None):
                 rows[:, start : start + width] = coords[index]
             for start, component in zip(starts[g.dim :], values):
                 rows[:, start : start + _CELL] = _format17(component[first : first + len(points)])
-            fh.write(rows[rows != 0])
+            fh.write(rows.tobytes().translate(None, b"\0"))

@@ -39,6 +39,7 @@ from .spectral import (
     _cut_half,
     _forward_band,
     _half_k_squared,
+    _half_parseval,
     _irfft,
     _lp_quadrature,
 )
@@ -223,13 +224,10 @@ class DyadicPartition:
     def _half_norms(self, half: np.ndarray, p: float) -> np.ndarray:
         """block_lp_norms from a half cube (or lattice coefficients), zero-filled where a block is wider."""
         out = np.empty(self.j_max + 1)
-        vol = self.grid.box_length**self.grid.dim
         for j, band in enumerate(self.bands):
             cube = _cut_half(half, self.grid, band)
             if p == 2:
-                # sum over lead axes so vectors use the Euclidean magnitude
-                mags = self.cubes[j] ** 2 * (np.abs(cube) ** 2).reshape((-1,) + self.cubes[j].shape).sum(axis=0)
-                out[j] = np.sqrt(vol * (mags.sum() + mags[..., 1:].sum()))
+                out[j] = np.sqrt(_half_parseval(cube, self.grid, self.cubes[j] ** 2))
             else:
                 samples = _irfft(cube * self.cubes[j], self.grid, band)
                 out[j] = _lp_quadrature(samples, half.ndim - self.grid.dim, self.grid, p)

@@ -27,7 +27,8 @@ The dyadic partition's profiles, the Besov block norms, the verifiers'
 products, the field ensembles, heat_propagate and the nonlinearity kernel
 use the band mode; the kernel's, heat_propagate's and the ensembles'
 multipliers act on arrays built once per band (_HalfCube), and
-_half_k_squared gives |k|^2 there afresh.
+_half_k_squared gives |k|^2 there afresh.  _half_parseval sums |c|^2 over a
+half cube, the Besov p = 2 blocks' and the solve command's norm rows' Parseval.
 
 Nyquist policy: on the full lattice the index N/2 of an axis is the
 frequency -N/2, whose mirror image is itself, so the odd multiplier i k
@@ -704,6 +705,14 @@ def l2_norm(field: SpectralField) -> float:
     """L^2 norm through Parseval; equals lp_norm(field, 2) to roundoff."""
     total = np.sum(np.abs(field.coeffs) ** 2)
     return float(np.sqrt(total * field.grid.box_length**field.grid.dim))
+
+
+def _half_parseval(half: np.ndarray, grid: TorusGrid, weight=1.0):
+    """L^n sum of weight |c|^2 (summed over lead axes) over the lattice of the field whose half cube or half lattice
+    half holds, weight even and given there: m_last = 0 and the half lattice's N/2 count once, other planes twice."""
+    mags = weight * (np.abs(half) ** 2).reshape((-1,) + half.shape[-grid.dim :]).sum(axis=0)
+    stop = -1 if half.shape[-1] == grid.points_per_axis // 2 + 1 else None
+    return grid.box_length**grid.dim * (mags.sum() + mags[..., 1:stop].sum())
 
 
 def l2_inner(a: SpectralField, b: SpectralField) -> float:

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import lanslab
-from lanslab import DyadicPartition, build_partition, read_field
-from lanslab.cli import _suite_partition, build_parser, main
+from lanslab import BesovIndex, DyadicPartition, build_partition, l2_norm, read_field
+from lanslab.cli import _solve_config, _solve_once, _suite_partition, build_parser, main
+from lanslab.monitor import energy_pair
 
 
 def read_report(path):
@@ -145,6 +146,20 @@ class TestSolve:
         # manifest line, header, then one row per stored node
         assert len((out / "norms.csv").read_text().splitlines()) == 2 + 5
         assert read_report(out / "solve.json")["steps"] == 4
+
+    @pytest.mark.parametrize("equation", ["lans", "mlans"])
+    def test_rows_are_the_norms_of_the_nodes(self, equation):
+        # each row is read from the node's stored half cube; the lattice
+        # norms of the completed node are the oracle
+        cfg = _solve_config(16, 0.1, 1.0, 0.0025, 0.01)
+        traj, rows = _solve_once(equation, cfg, 0.0025, 0.01, 3, 0.01)
+        part, idx = build_partition(cfg.grid), BesovIndex(1.5, 2.0, 2.0)
+        assert len(rows) == len(traj) == 5
+        for (t, l2, besov, pair), node, time in zip(rows, traj, traj.times):
+            assert t == time
+            assert l2 == pytest.approx(l2_norm(node), rel=1e-14)
+            assert besov == part.besov_norm(node, idx)
+            assert pair == pytest.approx(energy_pair(node, cfg.alpha), rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_returns_failure(self, tmp_path, capsys):
@@ -323,6 +338,19 @@ def test_module_entry_point():
     done = subprocess.run([sys.executable, "-m", "lanslab", "--version"], env=env, capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout == f"lanslab-{lanslab.__version__}\n"
+
+
+def test_cli_imports_only_the_standard_library_and_numpy():
+    # every command pays for the imports at start-up, so scipy and friends stay out
+    src = Path(lanslab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; before = set(sys.modules); import lanslab.cli; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "lanslab" in loaded and "numpy" in loaded
+    assert sorted(loaded - sys.stdlib_module_names - {"lanslab", "numpy"}) == []
 
 
 def test_version_matches_pyproject():

@@ -43,7 +43,14 @@ from lanslab import (
     solve_mlans,
     weighted_norm,
 )
-from lanslab.dynamics import _nonlinear_terms, _phi_factors, _stress_multiplier, _divergence_half, _weighted_distance
+from lanslab.dynamics import (
+    _divergence_half,
+    _kernel_inputs,
+    _nonlinear_terms,
+    _phi_factors,
+    _stress_multiplier,
+    _weighted_distance,
+)
 from lanslab.spectral import _complete, _cut_half, _rfft
 from lanslab.monitor import energy_pair
 from conftest import mirrored, zero_field
@@ -148,6 +155,22 @@ class TestReynoldsStress:
             f, g = projected_noise(grid, 80), projected_noise(grid, 81)
         g = f if pair == "self" else g
         assert_same_bits(reynolds_stress(f, g, cfg).coeffs, einsum_stress(f, g, cfg))
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("data", ["in_cube", "projected_noise"])
+    @pytest.mark.parametrize("pair", ["self", "mixed"])
+    def test_kernel_inputs_get_the_lattice_result_cut_to_the_cube(self, grid, alpha, data, pair):
+        # the kernel's own calls take the dealias half cube, with its
+        # k_last = 0 plane made Hermitian as completion makes it
+        cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
+        if data == "in_cube":
+            f, g = band_field(grid, 82, k_max=5.0), band_field(grid, 83, k_max=5.0)
+        else:
+            f, g = projected_noise(grid, 82), projected_noise(grid, 83)
+        g = f if pair == "self" else g
+        want = _cut_half(reynolds_stress(f, g, cfg).coeffs, grid, grid.dealias_keep)
+        assert_same_bits(reynolds_stress(*_kernel_inputs(f, g), cfg), want)
 
 
 def einsum_stress(f, g, cfg):

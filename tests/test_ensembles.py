@@ -223,6 +223,27 @@ class TestLatticeOracle:
         assert np.array_equal(got.coeffs, want.coeffs) and same_state
 
 
+class TestSolenoidalOnTheHalfCube:
+    """random_solenoidal projects its band's half cube before completing it:
+    leray_project of random_band_limited's field under ==, bit for bit on the
+    half m_last >= 0.  The mirrored half's zeros may differ in sign, since the
+    lattice projection writes its own +-0.0 there."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("ball", BALLS)
+    @pytest.mark.parametrize("decay", [0.0, 1.5])
+    def test_equals_the_lattice_projection(self, grid, ball, decay):
+        k_max = BALLS[ball](grid)
+        got, want, same_state = same_draws(
+            lambda r: random_solenoidal(grid, r, k_max=k_max, decay=decay),
+            lambda r: leray_project(random_band_limited(grid, r, 1.0, k_max, lead=(grid.dim,), decay=decay)))
+        assert np.array_equal(got.coeffs, want.coeffs) and same_state
+        half = slice(0, grid.points_per_axis // 2 + 1)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got.coeffs[..., half], part)),
+                                  np.signbit(getattr(want.coeffs[..., half], part)))
+
+
 BAD_BANDS = [({"k_max": float("nan")}, "k_max"), ({"k_max": -1.0}, "k_max"),
              ({"k_min": float("nan"), "k_max": 4.0}, "k_min"), ({"k_min": 5.0, "k_max": 4.0}, "k_min")]
 

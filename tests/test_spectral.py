@@ -35,7 +35,19 @@ from lanslab import (
     sobolev_norm,
 )
 from lanslab.dynamics import _flux
-from lanslab.spectral import _cube_index, _cut_half, _forward_band, _half_k_squared, _irfft, _lp_quadrature, _rfft
+from lanslab.monitor import energy_pair
+from lanslab.spectral import (
+    _complete,
+    _cube_index,
+    _cut_half,
+    _forward_band,
+    _half_cube,
+    _half_k_squared,
+    _half_parseval,
+    _irfft,
+    _lp_quadrature,
+    _rfft,
+)
 from conftest import mirrored, zero_field
 
 # volume of the unit torus [0, 2pi)^3; sqrt of it is the L2 norm of f == 1
@@ -492,3 +504,29 @@ class TestInnerProducts:
         assert l2_norm(z) == 0.0
         assert z.rank == 1
         assert relative_divergence(z) == 0.0
+
+
+# TorusGrid admits only powers of two >= 8 points per axis
+PARSEVAL_GRIDS = [TorusGrid(dim=d, points_per_axis=n, box_length=length)
+                  for d in (2, 3) for n in (8, 16, 32) for length in (2.0 * np.pi, 5.0)]
+
+
+class TestHalfCubeParseval:
+    """_half_parseval on a half cube (band K) or the half lattice (band N/2,
+    Nyquist plane m_last = N/2 present) gives l2_norm and energy_pair of
+    the completed field."""
+
+    @pytest.mark.parametrize("grid", PARSEVAL_GRIDS,
+                             ids=[f"{g.points_per_axis}^{g.dim}-L{g.box_length:.3g}" for g in PARSEVAL_GRIDS])
+    @pytest.mark.parametrize("rank", [0, 1])
+    @pytest.mark.parametrize("band", ["dealias", "nyquist"])
+    @given(seed=st.integers(0, 2**31), scale=st.floats(1e-3, 1e3), alpha=st.floats(0.0, 2.0))
+    def test_matches_the_completed_field(self, grid, rank, band, seed, scale, alpha):
+        band = grid.dealias_keep if band == "dealias" else grid.points_per_axis // 2
+        noise = scale * np.random.default_rng(seed).standard_normal((grid.dim,) * rank + grid.shape)
+        half = _cut_half(forward_transform(noise, grid).coeffs, grid, band)
+        field = SpectralField(grid, _complete(half, grid, band))
+        l2sq = _half_parseval(half, grid)
+        pair = l2sq + alpha**2 * _half_parseval(half, grid, _half_cube(grid, band).k_squared)
+        assert np.sqrt(l2sq) == pytest.approx(l2_norm(field), rel=1e-14)
+        assert pair == pytest.approx(energy_pair(field, alpha), rel=1e-14)
