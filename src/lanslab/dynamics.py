@@ -26,7 +26,10 @@ keeps, and its multipliers act there on arrays built once per grid
 (spectral._HalfCube).  A self term makes 27 real scalar transforms and a
 call with a background 48 (u's Jacobian is transformed once per call);
 pruned (Sorensen & Burrus 1993), at 16^3 they cost the FFT lines of 20.7
-and 36.9 unpruned ones.
+and 36.9 unpruned ones.  Its vectors and tensors are transformed in
+batches of components whose physical samples fit _BATCH_BYTES: all of
+them at 32^3 and below, one at 64^3, where a tensor of samples is 19 MB.
+Each FFT line is computed as in one batch, so batching moves no bit.
 
 The march and the Duhamel map hold u, the stage, the kernel outputs
 (_rhs_half, the kernel's cube-level entry) and the Duhamel integral on the
@@ -280,14 +283,37 @@ class _KernelInput:
 
     def jacobian_parts(self) -> np.ndarray:
         """Physical Def = (J + J^T)/2 and Rot = (J - J^T)/2, J[i, j] = d_j f_i, in
-        J's own buffer P: Def_ij at P[i, j] for i <= j, Rot_ij at P[j, i] for i < j."""
+        J's own buffer P: Def_ij at P[i, j] for i <= j, Rot_ij at P[j, i] for i < j.
+        J's entries are inverse-transformed _batches at a time into P (_samples)."""
         if self.shared_parts is not None:
             return self.shared_parts
-        wavenumbers = _half_cube(self.grid, self.band).wavenumbers
-        jac = _irfft(np.stack([self.half * (1j * k) for k in wavenumbers], axis=1), self.grid, self.band)
-        for i, j in itertools.combinations(range(self.grid.dim), 2):
+        grid, dim = self.grid, self.grid.dim
+        wavenumbers = _half_cube(grid, self.band).wavenumbers
+        spectra = np.stack([self.half * (1j * k) for k in wavenumbers], axis=1)
+        jac = _samples(spectra.reshape((dim * dim,) + self.half.shape[1:]), grid, self.band)
+        jac = jac.reshape((dim, dim) + grid.shape)
+        for i, j in itertools.combinations(range(dim), 2):
             jac[i, j], jac[j, i] = (jac[i, j] + jac[j, i]) * 0.5, (jac[i, j] - jac[j, i]) * 0.5
         return jac
+
+
+_BATCH_BYTES = 5 << 19  # physical samples per batch of transforms: a whole 32^3 tensor, one 64^3 component
+
+
+def _batches(count: int, grid: TorusGrid) -> list:
+    """Slices of count tensor components whose physical samples fit _BATCH_BYTES,
+    one component at least; one slice when all of them fit."""
+    size = max(1, _BATCH_BYTES // (8 * grid.points_per_axis**grid.dim))
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _samples(coeffs: np.ndarray, grid: TorusGrid, band: int) -> np.ndarray:
+    """Physical samples of the components of coeffs (its leading axis), half
+    cubes of band, inverse-transformed _batches at a time into one array."""
+    out = np.empty((len(coeffs),) + grid.shape)
+    for rows in _batches(len(coeffs), grid):
+        _irfft(coeffs[rows], grid, band, out=out[rows])
+    return out
 
 
 def _def_rot(d: np.ndarray, r: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -322,15 +348,21 @@ def _flux_half(grid: TorusGrid, cu: np.ndarray, cw: np.ndarray | None, band: int
     """Dealias half-cube coefficients of div of the dealiased symmetric
     product (u (x) w + w (x) u)/2, given the half cubes of band of u and w;
     cw = None means w = u, transformed once.  Only the dim(dim+1)/2
-    distinct entries of the symmetric tensor are transformed."""
-    pu = _irfft(cu, grid, band)
-    pw = pu if cw is None else _irfft(cw, grid, band)
+    distinct entries of the symmetric tensor are transformed.  u, w and the
+    entries are transformed _batches at a time; a batch of entries is formed
+    in work slot 1 and forward-transformed to its rows of the half cube."""
+    pu = _samples(cu, grid, band)
+    pw = pu if cw is None else _samples(cw, grid, band)
     pairs = [(i, j) for i in range(grid.dim) for j in range(i, grid.dim)]
-    if cw is None:
-        tens = np.stack([pu[i] * pu[j] for i, j in pairs])
-    else:
-        tens = np.stack([0.5 * (pu[i] * pw[j] + pw[i] * pu[j]) for i, j in pairs])
-    entries = _rfft(tens, grid, grid.dealias_keep)
+    entries = np.empty((len(pairs),) + _half_cube(grid, grid.dealias_keep).k_squared.shape, complex)
+    for rows in _batches(len(pairs), grid):
+        tens = _work(1, (len(pairs[rows]),) + grid.shape, pu.dtype)  # _rfft reads it before it writes work slot 1
+        for t, (i, j) in zip(tens, pairs[rows]):
+            np.multiply(pu[i], pw[j], out=t)
+            if cw is not None:
+                t += pw[i] * pu[j]
+                t *= 0.5
+        _rfft(tens, grid, grid.dealias_keep, out=entries[rows])
     sym = {(i, j): entries[e] for e, (i, j) in enumerate(pairs)}
     rows = [[sym[min(i, j), max(i, j)] for j in range(grid.dim)] for i in range(grid.dim)]
     return _divergence_half(rows, grid)
@@ -369,10 +401,13 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
     dealiased.  Symmetric in (f, g); identically zero for alpha = 0.  Each
     distinct argument costs one inverse transform of its Jacobian, pruned
     to the dealias cube when both arguments lie in it, whose buffer holds
-    its Def and Rot; the tensor's forward transform and the multipliers run
-    on the dealias half cube.  Two _KernelInputs (the kernel's own calls) get
-    that half cube with its k_last = 0 plane made Hermitian, the lattice
-    result cut there bit for bit; other arguments get the lattice result.
+    its Def and Rot.  The tensor's entries are formed in work slot 1 and
+    forward-transformed to the dealias half cube _batches at a time (one
+    entry at 64^3, all of them at 32^3 and below), so the physical tensor
+    is never held whole; the multipliers run on that half cube.  Two
+    _KernelInputs (the kernel's own calls) get that half cube with its
+    k_last = 0 plane made Hermitian, the lattice result cut there bit for
+    bit; other arguments get the lattice result.
     """
     grid = cfg.grid
     if f.grid != grid or g.grid != grid:
@@ -385,12 +420,18 @@ def reynolds_stress(f: SpectralField, g: SpectralField, cfg: LansConfig) -> Spec
         f, g = _kernel_inputs(f, g)
     parts_f = f.jacobian_parts()
     parts_g = parts_f if g is f else g.jacobian_parts()
-    prod = _work(1, parts_f.shape, parts_f.dtype)  # _rfft reads it before it writes work slot 1
-    for i, j in itertools.product(range(grid.dim), repeat=2):
-        first = _def_rot(parts_f, parts_g, i, j)
-        np.add(first, first if g is f else _def_rot(parts_g, parts_f, i, j), out=prod[i, j])
-    del parts_f, parts_g  # parts that no later call shares are freed before the forward transform
-    stress = _rfft(prod, grid, band) * _stress_multiplier(grid, cfg.alpha)
+    multiplier, entries = _stress_multiplier(grid, cfg.alpha), list(itertools.product(range(grid.dim), repeat=2))
+    stress = np.empty((len(entries),) + multiplier.shape, complex)
+    for rows in _batches(len(entries), grid):
+        prod = _work(1, (len(entries[rows]),) + grid.shape, parts_f.dtype)  # _rfft reads it before it writes work slot 1
+        for p, (i, j) in zip(prod, entries[rows]):
+            first = _def_rot(parts_f, parts_g, i, j)
+            np.add(first, first if g is f else _def_rot(parts_g, parts_f, i, j), out=p)
+        if rows.stop == len(entries):
+            del parts_f, parts_g  # parts that no later call shares are freed before the last forward transform
+        _rfft(prod, grid, band, out=stress[rows])
+        stress[rows] *= multiplier
+    stress = stress.reshape((grid.dim, grid.dim) + multiplier.shape)
     half = _hermitian_planes(_divergence_half(stress, grid), grid, band)
     return half if kernel else SpectralField(grid, _complete(half, grid, band))
 

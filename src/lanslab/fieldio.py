@@ -226,13 +226,22 @@ def field_to_csv(path, field: SpectralField, manifest_hash: str | None = None):
     block = np.zeros((min(_BLOCK_ROWS, n**g.dim), starts[-1] + _CELL + 2), np.uint8)
     block[:, starts[1:] - 1] = ord(",")
     block[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    # coordinate i of point p is coords[p // n^(dim-1-i) % n], whose bytes repeat from block
+    # to block when their period n^(dim-i) divides the block: those are filled once
+    strides = [n ** (g.dim - 1 - i) for i in range(g.dim)]
+    offsets = np.arange(len(block))
+    changing = []
+    for start, stride in zip(starts, strides):
+        if len(block) % (stride * n):
+            changing.append((start, stride))
+        else:
+            block[:, start : start + width] = coords[offsets // stride % n]
     with open(path, "wb") as fh:
         fh.write(f"{header}\r\n".encode())
         for first in range(0, n**g.dim, len(block)):
-            points = np.arange(first, min(first + len(block), n**g.dim))
-            rows = block[: len(points)]
-            for start, index in zip(starts, np.unravel_index(points, (n,) * g.dim)):
-                rows[:, start : start + width] = coords[index]
+            rows = block[: min(len(block), n**g.dim - first)]
+            for start, stride in changing:
+                rows[:, start : start + width] = coords[(first + offsets[: len(rows)]) // stride % n]
             for start, component in zip(starts[g.dim :], values):
-                rows[:, start : start + _CELL] = _format17(component[first : first + len(points)])
+                rows[:, start : start + _CELL] = _format17(component[first : first + len(rows)])
             fh.write(rows.tobytes().translate(None, b"\0"))

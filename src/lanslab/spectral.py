@@ -424,8 +424,9 @@ def _work(slot: int, shape: tuple, dtype=np.complex128) -> np.ndarray:
     return np.ndarray(shape, dtype=dtype, buffer=slots[slot])
 
 
-def _rfft(samples: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.ndarray:
-    """Real samples -> half-lattice coefficients (series normalization).
+def _rfft(samples: np.ndarray, grid: TorusGrid, band: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples -> half-lattice coefficients (series normalization),
+    written to out when it is given.
 
     With a band K < N/2 only the half cube |m_i| <= K, 0 <= m_last <= K is
     made (FFT order, side 2K + 1 and K + 1 on the last axis): rfft on the
@@ -436,20 +437,24 @@ def _rfft(samples: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.n
     axes = _axes(samples, grid)
     n = grid.points_per_axis
     if band is None or band >= n // 2:
-        return np.fft.rfftn(samples, axes=axes, norm="forward")
+        return np.fft.rfftn(samples, axes=axes, norm="forward", out=out)
     full = np.fft.rfft(samples, axis=-1, norm="forward", out=_work(0, samples.shape[:-1] + (n // 2 + 1,)))
     a = _work(1, samples.shape[:-1] + (band + 1,))  # rfft has read samples, which may live in slot 1
     a[...] = full[..., : band + 1]
     for i, axis in enumerate(reversed(axes[:-1])):
         np.fft.fft(a, axis=axis, norm="forward", out=a)
         shape = a.shape[:axis] + (2 * band + 1,) + a.shape[axis + 1 :]
-        out = np.empty(shape, dtype=np.complex128) if axis == axes[0] else _work(i % 2, shape)
-        a = np.take(a, _band_axis(n, band), axis=axis, out=out, mode="clip")
+        if axis != axes[0]:
+            dest = _work(i % 2, shape)
+        else:
+            dest = np.empty(shape, dtype=np.complex128) if out is None else out
+        a = np.take(a, _band_axis(n, band), axis=axis, out=dest, mode="clip")
     return a
 
 
-def _irfft(coeffs: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.ndarray:
-    """Real samples of the Hermitian spectrum whose half lattice coeffs holds.
+def _irfft(coeffs: np.ndarray, grid: TorusGrid, band: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of the Hermitian spectrum whose half lattice coeffs holds,
+    written to out when it is given.
 
     With a band K < N/2, coeffs is the half cube of K (as _rfft and
     _cut_half make it): ifft on the leading axes in order, each over the
@@ -460,14 +465,14 @@ def _irfft(coeffs: np.ndarray, grid: TorusGrid, band: int | None = None) -> np.n
     n = grid.points_per_axis
     if band is None or band >= n // 2:
         half = _half(coeffs, grid)
-        return np.fft.irfftn(half, s=grid.shape, axes=_axes(half, grid), norm="forward")
+        return np.fft.irfftn(half, s=grid.shape, axes=_axes(half, grid), norm="forward", out=out)
     for i, axis in enumerate(_axes(coeffs, grid)[:-1]):
         spread, lead = _work(i % 2, coeffs.shape[:axis] + (n,) + coeffs.shape[axis + 1 :]), (slice(None),) * axis
         spread[lead + (slice(band + 1, n - band),)] = 0
         for lattice, cube in _band_runs(n, band):
             spread[lead + (lattice,)] = coeffs[lead + (cube,)]
         coeffs = np.fft.ifft(spread, axis=axis, norm="forward", out=spread)
-    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward")
+    return np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=out)
 
 
 # (destination, source) slices mapping lattice index i to (-i) mod N

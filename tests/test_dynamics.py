@@ -6,6 +6,8 @@ the public primitives; the consistency identity between the full and
 perturbation forms is checked by three independent evaluations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -43,7 +45,9 @@ from lanslab import (
     solve_mlans,
     weighted_norm,
 )
+from lanslab import dynamics
 from lanslab.dynamics import (
+    _batches,
     _divergence_half,
     _kernel_inputs,
     _nonlinear_terms,
@@ -352,6 +356,98 @@ def with_mode_outside_cube(u):
     c[0, 0, m, 0] += 0.25 + 0.1j
     c[0, 0, -m, 0] += 0.25 - 0.1j
     return SpectralField(grid, c)
+
+
+def fft_calls(monkeypatch) -> list:
+    """The names of the numpy.fft calls made after this, in order."""
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def fields64():
+    grid = TorusGrid(dim=3, points_per_axis=64)
+    return LansConfig(grid=grid, alpha=0.1, nu=1.0), band_field(grid, 94, k_max=5.0), band_field(grid, 95, k_max=5.0)
+
+
+class TestKernelBatches:
+    """The kernel transforms its vectors and tensors a batch of components
+    at a time, as many as fit dynamics._BATCH_BYTES of physical samples: one
+    component at 64^3, all of them at 32^3 and below.  Each FFT line is
+    computed as in one batch, so batching moves no bit."""
+
+    @staticmethod
+    def one_component_per_batch(monkeypatch, grid):
+        monkeypatch.setattr(dynamics, "_BATCH_BYTES", 1)
+        assert len(_batches(grid.dim**2, grid)) == grid.dim**2
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("data", ["in_cube", "projected_noise"])
+    def test_one_component_per_batch_moves_no_bit(self, monkeypatch, grid, alpha, data):
+        # projected noise reaches past the dealias cube: the half-lattice fallback
+        cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
+        if data == "in_cube":
+            u, v = band_field(grid, 90, k_max=5.0), band_field(grid, 91, k_max=5.0)
+        else:
+            u, v = projected_noise(grid, 90), projected_noise(grid, 91)
+
+        def outputs():
+            return [nonlinear_rhs(u, cfg).coeffs, nonlinear_rhs(u, cfg, v).coeffs, reynolds_stress(u, v, cfg).coeffs]
+        want = outputs()
+        self.one_component_per_batch(monkeypatch, grid)
+        for got, w in zip(outputs(), want):
+            assert_same_bits(got, w)
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
+    def test_marches_in_one_component_batches_move_no_bit(self, monkeypatch, grid):
+        # the batches live in the march's work arrays
+        cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
+        u0, v0 = band_field(grid, 92, k_max=5.0, scale=2.0), band_field(grid, 93, k_max=5.0, scale=2.0)
+
+        def marches():
+            v_traj = solve_lans(v0, cfg, 0.04, 0.01)
+            return [v_traj._halves, solve_mlans(u0, v_traj, cfg, 0.04, 0.01)._halves]
+        want = marches()
+        self.one_component_per_batch(monkeypatch, grid)
+        for got, w in zip(marches(), want):
+            assert_same_bits(got, w)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("with_background, data, count", [
+        (False, "in_cube", 12), (True, "in_cube", 21), (False, "projected_noise", 8), (True, "projected_noise", 13)])
+    def test_small_grids_transform_each_tensor_in_one_batch(self, monkeypatch, n, with_background, data, count):
+        # the numpy.fft calls of one call with one batch per tensor: the
+        # benchmark's 16^3 pipeline and the default 32^3 one pay no per-batch overhead
+        grid = TorusGrid(dim=3, points_per_axis=n)
+        cfg = LansConfig(grid=grid, alpha=0.1, nu=1.0)
+        u, v = band_field(grid, 96, k_max=5.0), band_field(grid, 97, k_max=5.0)
+        if data == "projected_noise":
+            u = projected_noise(grid, 96)
+        calls = fft_calls(monkeypatch)
+        nonlinear_rhs(u, cfg, v if with_background else None)
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("with_background, bound", [(False, 20), (True, 31)])
+    def test_traced_peak_of_a_64_cube_call(self, fields64, with_background, bound):
+        # outside a march the work arrays are numpy arrays, which tracemalloc
+        # sees.  In lattice scalars (8 N^3 bytes) one call peaks at 17.8, and
+        # 28.7 with a background; with one batch per tensor it was 31.5 and 42.4
+        cfg, u, v = fields64
+        v = v if with_background else None
+        nonlinear_rhs(u, cfg, v)  # the shared multiplier arrays are built once per grid
+        tracemalloc.start()
+        try:
+            nonlinear_rhs(u, cfg, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * cfg.grid.points_per_axis**3
 
 
 class TestKernelFallback:

@@ -110,6 +110,8 @@ class TestCheckpointWriter:
 
 
 CSV_CASES = [(dim, n, rank) for dim in (2, 3) for n in (8, 16) for rank in (0, 1, 2)]
+# rows cross the writer's blocks of 4,096: 8 blocks at 32^3 and 4 at 128^2
+CSV_BLOCK_CASES = [(3, 32, 1), (2, 128, 0)]
 
 
 def row_by_row_csv(grid, samples, manifest) -> bytes:
@@ -223,13 +225,24 @@ class TestCsvExport:
         assert vals[3] == pytest.approx(phys[0, 0, 0, 0], rel=1e-15)
 
     @pytest.mark.parametrize("manifest", [None, "abc123def456"])
-    @pytest.mark.parametrize("dim, n, rank", CSV_CASES)
+    @pytest.mark.parametrize("dim, n, rank", CSV_CASES + CSV_BLOCK_CASES)
     def test_bytes_match_row_by_row_writer(self, tmp_path, dim, n, rank, manifest):
         grid = TorusGrid(dim=dim, points_per_axis=n)
         field = forward_transform(np.random.default_rng(5).standard_normal((dim,) * rank + grid.shape), grid)
         path = tmp_path / "f.csv"
         field_to_csv(path, field, manifest_hash=manifest)
         assert path.read_bytes() == row_by_row_csv(grid, inverse_transform(field), manifest)
+
+    @pytest.mark.parametrize("block_rows", [64, 1000])
+    def test_bytes_match_with_blocks_that_split_coordinate_runs(self, tmp_path, monkeypatch, block_rows):
+        # at 16^3, 64-row blocks repeat x3 only and 1000-row blocks repeat no
+        # coordinate, so x1 and x2 (and x3) are written block by block
+        grid = TorusGrid(dim=3, points_per_axis=16)
+        field = forward_transform(np.random.default_rng(9).standard_normal(grid.shape), grid)
+        monkeypatch.setattr(fieldio, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "f.csv"
+        field_to_csv(path, field)
+        assert path.read_bytes() == row_by_row_csv(grid, inverse_transform(field), None)
 
     @pytest.mark.parametrize("manifest", [None, "abc123def456"])
     @pytest.mark.parametrize("dim, rank", [(2, 0), (3, 1)])
