@@ -54,25 +54,21 @@ from .inequality_lab import (
 from .littlewood_paley import (
     BesovIndex,
     DyadicPartition,
-    LPBlocks,
     ParaproductPieces,
     build_partition,
 )
 from .monitor import (
     CancellationResiduals,
     EnergyReport,
-    H2Report,
     SplitConfig,
     SplitError,
     SplitResult,
     TraceReport,
-    bootstrap_consistency,
     calibrate_gronwall_constant,
     cancellation_check,
     energy_pair,
     gronwall_monitor,
     h2_concentration_slopes,
-    h2_term_monitor,
     higher_regularity_trace,
     split_with_report,
 )

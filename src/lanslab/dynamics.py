@@ -16,7 +16,7 @@ holds exactly at the discrete level.  Pressure never appears: every
 nonlinear term is Leray-projected, which removes exactly the gradient
 component.
 
-The nonlinearity kernel (_flux, reynolds_stress, nonlinear_rhs) reads the
+The nonlinearity kernel (_flux_half, reynolds_stress, nonlinear_rhs) reads the
 half lattice of each input and works on the 2/3-rule dealias half cube
 |m_i| <= K = grid.dealias_keep, m_last >= 0: its inverse transforms read
 only that cube when every input of a call lies in it (a slab test), else
@@ -183,6 +183,8 @@ def _time_nodes(t_end: float, dt: float) -> np.ndarray:
         raise ValueError(f"dt must be positive, got {dt}")
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    if not t_end / dt < np.iinfo(np.intp).max:
+        raise ValueError(f"t_end = {t_end} over dt = {dt} is more steps than an array can index")
     steps = int(round(t_end / dt))
     if steps < 1 or abs(steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")
@@ -251,15 +253,6 @@ class Trajectory:
 
     def state_at(self, t: float) -> SpectralField:
         return self[self.node_index(t)]
-
-    def _restart(self, i: int) -> "Trajectory":
-        """Nodes i onward with time measured from node i, sharing this trajectory's storage."""
-        return self._adopt(self.times[i:] - self.times[i], self.grid, self._halves[i:], self.equation, self.config)
-
-    def max_relative_divergence(self) -> float:
-        from .spectral import relative_divergence
-
-        return max(relative_divergence(s) for s in self)
 
 
 @dataclass
@@ -375,16 +368,6 @@ def _divergence_half(rows, grid: TorusGrid) -> np.ndarray:
     for i, row in enumerate(rows):
         out[i] = _contract(row, wavenumbers)
     return out
-
-
-def _flux(u: SpectralField, w: SpectralField) -> SpectralField:
-    """div of the dealiased symmetric product (u (x) w + w (x) u)/2, which
-    is ((w.grad)u + (u.grad)w)/2 for solenoidal fields.  Symmetric in
-    (u, w); when w is u, u is transformed once."""
-    _check_same_grid(u, w)
-    u, w = _kernel_inputs(u, w)
-    half = _flux_half(u.grid, u.half, None if w is u else w.half, u.band)
-    return SpectralField(u.grid, _complete(half, u.grid, u.grid.dealias_keep))
 
 
 @lru_cache(maxsize=8)
@@ -551,8 +534,8 @@ def duhamel_map(
     return Trajectory._adopt(times, grid, halves, traj.equation, cfg)
 
 
-def _weighted_trace(plus: list, minus: list, a: float, index: BesovIndex, start: int = 0, step: int = 1) -> tuple:
-    """(times, t^a * besov_norm) over plus[0]'s nodes of sum(plus) - sum(minus[start::step]),
+def _weighted_trace(plus: list, minus: list, a: float, index: BesovIndex, step: int = 1) -> tuple:
+    """(times, t^a * besov_norm) over plus[0]'s nodes of sum(plus) - sum(minus[::step]),
     formed node by node (whole stacked arrays raise peak memory) from the stored half
     cubes on their widest band.  The t = 0 node is skipped when a > 0, else has weight 1."""
     grid, part = plus[0].grid, build_partition(plus[0].grid)
@@ -564,15 +547,15 @@ def _weighted_trace(plus: list, minus: list, a: float, index: BesovIndex, start:
     for i, t in enumerate(plus[0].times):
         if t == 0.0 and a > 0:
             continue
-        c = node(plus, i) - node(minus, start + i * step) if minus else node(plus, i)
+        c = node(plus, i) - node(minus, i * step) if minus else node(plus, i)
         ts.append(t)
         values.append((1.0 if t == 0.0 else t**a) * part._half_besov(c, index, 0))
     return np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
 
 
-def _weighted_sup(plus: list, minus: list, a: float, index: BesovIndex, start: int = 0, step: int = 1) -> float:
+def _weighted_sup(plus: list, minus: list, a: float, index: BesovIndex, step: int = 1) -> float:
     """sup_t t^a * besov_norm over the nodes of _weighted_trace, 0.0 when none counts."""
-    return float(np.max(_weighted_trace(plus, minus, a, index, start, step)[1], initial=0.0))
+    return float(np.max(_weighted_trace(plus, minus, a, index, step)[1], initial=0.0))
 
 
 def weighted_norm(traj: Trajectory, a: float, index: BesovIndex) -> float:

@@ -47,7 +47,6 @@ from .spectral import (
 __all__ = [
     "BesovIndex",
     "DyadicPartition",
-    "LPBlocks",
     "ParaproductPieces",
     "build_partition",
     "smooth_lowpass_profile",
@@ -86,25 +85,6 @@ class BesovIndex:
             raise ValueError(f"p must satisfy 1 <= p <= inf, got {self.p}")
         if not self.q >= 1:
             raise ValueError(f"q must satisfy 1 <= q <= inf, got {self.q}")
-
-
-@dataclass
-class LPBlocks:
-    """Block fields Delta_j f for j = 0..j_max (block 0 is the low ball)."""
-
-    blocks: list
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __getitem__(self, j):
-        return self.blocks[j]
-
-    def reconstruct(self) -> SpectralField:
-        out = self.blocks[0]
-        for b in self.blocks[1:]:
-            out = out + b
-        return out
 
 
 @dataclass
@@ -205,10 +185,6 @@ class DyadicPartition:
         low = smooth_lowpass_profile(np.sqrt(_half_k_squared(self.grid, band)) / 2.0 ** (j + 1))
         return SpectralField(f.grid, _complete(_cut_half(f.coeffs, self.grid, band) * low, self.grid, band))
 
-    def decompose(self, f: SpectralField) -> LPBlocks:
-        self._check_grid(f)
-        return LPBlocks([self.delta_j(f, j) for j in range(self.j_max + 1)])
-
     def block_lp_norms(self, f: SpectralField, p: float) -> np.ndarray:
         """||Delta_j f||_p for j = 0..j_max, each from block j's half cube.
 
@@ -282,15 +258,6 @@ class DyadicPartition:
 
         mk = lambda arr: _forward_band(arr, self.grid, self.grid.dealias_keep)
         return ParaproductPieces(mk(low_high), mk(high_low), mk(resonant))
-
-    def kernel(self, j: int) -> SpectralField:
-        """Physical convolution kernel of Delta_j as a scalar field.
-
-        Normalized so that Delta_j f = kernel * f as a torus convolution;
-        its L^p norms scale like 2^(j n (1 - 1/p)) in the shell index.
-        """
-        coeffs = _complete(self.cubes[j], self.grid, self.bands[j]) / self.grid.box_length**self.grid.dim
-        return SpectralField(self.grid, coeffs)
 
     def _check_grid(self, f: SpectralField):
         if f.grid != self.grid:

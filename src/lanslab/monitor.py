@@ -1,7 +1,7 @@
 """A-priori quantities along trajectories: the energy pair, the structural
-cancellations behind it, exponential (Gronwall) bounds, second-level term
-monitors, the rough/smooth splitting of initial data, and weighted
-higher-regularity traces.
+cancellations behind it, exponential (Gronwall) bounds, the growth of two
+second-level terms on a frequency-concentration family, the rough/smooth
+splitting of initial data, and weighted higher-regularity traces.
 
 Constants that the estimates leave unquantified follow a strict
 calibrate-once protocol: a constant is fitted on one run, frozen, and only
@@ -15,21 +15,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dynamics import (
-    LansConfig,
-    Trajectory,
-    _flux,
-    _march,
-    _nonlinear_terms,
-    _weighted_sup,
-    _weighted_trace,
-    reynolds_stress,
-)
+from .dynamics import LansConfig, Trajectory, _nonlinear_terms, _weighted_trace, reynolds_stress
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     SpectralField,
-    _complete,
-    _cut_half,
     forward_transform,
     gradient,
     inverse_transform,
@@ -46,17 +35,14 @@ __all__ = [
     "SplitError",
     "SplitResult",
     "CancellationResiduals",
-    "H2Report",
     "TraceReport",
     "energy_pair",
     "cancellation_check",
     "gronwall_monitor",
     "calibrate_gronwall_constant",
-    "h2_term_monitor",
     "h2_concentration_slopes",
     "split_with_report",
     "higher_regularity_trace",
-    "bootstrap_consistency",
 ]
 
 
@@ -225,21 +211,6 @@ def calibrate_gronwall_constant(runs: list, alpha: float) -> float:
     return 1.5 * best
 
 
-@dataclass
-class H2Report:
-    """Second-level term traces |K1|, |K2|, |L1|, |L2| against their bound
-    shapes in powers of the third-derivative norm."""
-
-    times: np.ndarray
-    terms: dict
-    constants: dict
-    ratio_max: dict
-    under_resolved: bool
-    calibrated_in_place: bool
-
-    EXPONENTS = {"k1": 15.0 / 8.0, "k2": 15.0 / 8.0, "l1": 1.5, "l2": 1.0}
-
-
 def _h2_pairing(term: SpectralField, u: SpectralField) -> float:
     """<A g, A u> = sum |k|^4 g.conj(u) * volume; the second-derivative-level
     pairing.  Any gradient component of g drops against solenoidal u, so
@@ -249,78 +220,9 @@ def _h2_pairing(term: SpectralField, u: SpectralField) -> float:
     return l2_inner(a_term, a_u)
 
 
-def _h2_terms_at(u: SpectralField, v: SpectralField | None, cfg: LansConfig) -> dict:
-    out = {"k1": abs(_h2_pairing(_convective(inverse_transform(u), inverse_transform(gradient(u)), u.grid), u)),
-           "k2": abs(_h2_pairing(reynolds_stress(u, u, cfg), u))}
-    if v is None:
-        out["l1"] = 0.0
-        out["l2"] = 0.0
-    else:
-        out["l1"] = abs(_h2_pairing(_flux(u, 2.0 * v), u))
-        out["l2"] = abs(_h2_pairing(2.0 * reynolds_stress(u, v, cfg), u))
-    return out
-
-
-def _truncation_defect(u: SpectralField) -> float:
-    """Relative change of the third-derivative norm when the top half of
-    the resolved band is dropped; large values mean under-resolution."""
-    grid = u.grid
-    keep = grid.points_per_axis // 4
-    full = sobolev_norm(u, 3.0, homogeneous=True)
-    if full == 0.0:
-        return 0.0
-    low = SpectralField(grid, _complete(_cut_half(u.coeffs, grid, keep), grid, keep))
-    return abs(full - sobolev_norm(low, 3.0, homogeneous=True)) / full
-
-
-def h2_term_monitor(
-    u_traj: Trajectory,
-    v_traj: Trajectory | None,
-    cfg: LansConfig,
-    constants: dict | None = None,
-    resolution_tol: float = 0.05,
-) -> H2Report:
-    """Trace the four second-level inner products and compare against
-    C * ||u||_(H3)^e with the documented exponents e = (15/8, 15/8, 3/2, 1).
-
-    constants = None fits C per term on this run (calibration mode, flagged);
-    pass frozen constants to judge a fresh run.  Sets under_resolved when
-    dropping the top half of the band moves any H3 norm by more than
-    resolution_tol.
-    """
-    _check_aligned(u_traj, v_traj)
-    times = u_traj.times
-    names = ("k1", "k2", "l1", "l2")
-    terms = {n: np.zeros(len(times)) for n in names}
-    h3 = np.zeros(len(times))
-    under = False
-    for i, u in enumerate(u_traj):
-        v = v_traj[i] if v_traj is not None else None
-        vals = _h2_terms_at(u, v, cfg)
-        for n in names:
-            terms[n][i] = vals[n]
-        h3[i] = sobolev_norm(u, 3.0, homogeneous=True)
-        under = under or _truncation_defect(u) > resolution_tol
-
-    shapes = {n: h3 ** H2Report.EXPONENTS[n] for n in names}
-    calibrated_here = constants is None
-    if calibrated_here:
-        constants = {}
-        for n in names:
-            live = shapes[n] > 1e-300
-            constants[n] = float(np.max(terms[n][live] / shapes[n][live])) if np.any(live) else 0.0
-    ratio_max = {}
-    for n in names:
-        live = shapes[n] > 1e-300
-        if constants[n] > 0 and np.any(live):
-            ratio_max[n] = float(np.max(terms[n][live] / (constants[n] * shapes[n][live])))
-        else:
-            ratio_max[n] = 0.0 if np.all(terms[n] < 1e-300) else np.inf
-    return H2Report(times, terms, dict(constants), ratio_max, under, calibrated_here)
-
-
 def h2_concentration_slopes(cfg: LansConfig) -> dict:
-    """Growth of |K1| and |L2| against the third-derivative norm on a
+    """Growth of |K1| = |<A (u.grad)u, A u>| and |L2| = |<A 2 div tau(u, v),
+    A u>| (_h2_pairing) against the third-derivative norm on a
     frequency-concentration family with the first-order norm held fixed.
 
     Pure amplitude scaling cannot see the claimed exponents (every term is
@@ -340,10 +242,11 @@ def h2_concentration_slopes(cfg: LansConfig) -> dict:
     for j in levels:
         u = leray_project(shell_field(grid, j, rng, lead=(grid.dim,)))
         u = u * (1.0 / sobolev_norm(u, 1.0, homogeneous=False))
-        vals = _h2_terms_at(u, v, cfg)
+        k1 = abs(_h2_pairing(_convective(inverse_transform(u), inverse_transform(gradient(u)), grid), u))
+        l2 = abs(_h2_pairing(2.0 * reynolds_stress(u, v, cfg), u))
         xs.append(np.log2(sobolev_norm(u, 3.0, homogeneous=True)))
-        k1s.append(np.log2(max(vals["k1"], 1e-300)))
-        l2s.append(np.log2(max(vals["l2"], 1e-300)))
+        k1s.append(np.log2(max(k1, 1e-300)))
+        l2s.append(np.log2(max(l2, 1e-300)))
     k1_slope = np.polyfit(xs, k1s, 1)[0] if len(xs) >= 2 else 0.0
     l2_slope = np.polyfit(xs, l2s, 1)[0] if len(xs) >= 2 else 0.0
     return {
@@ -451,36 +354,3 @@ def higher_regularity_trace(traj: Trajectory, k: float, base: float, q: float = 
         sup_value=float(np.max(values)),
         early_value=float(values[0]),
     )
-
-
-def bootstrap_consistency(
-    traj: Trajectory,
-    t1: float,
-    v_traj: Trajectory | None = None,
-) -> float:
-    """Re-solve from the stored state at t1 and return the max B^(3/2)_(2,2)
-    distance to the original trajectory over the overlap (a discrete
-    uniqueness check); a perturbation run restarts over its background v_traj.
-
-    Restarting at t1 = 0 replays the computation to roundoff (a few 1e-17
-    on 16^3 runs), not bit for bit: the marcher re-applies
-    leray_project(dealias(.)) to the stored, already projected state, and
-    that map is not exactly idempotent in floating point.
-    """
-    if traj.config is None:
-        raise ValueError("trajectory carries no solver configuration")
-    cfg = traj.config
-    i1 = traj.node_index(t1)
-    if i1 >= len(traj) - 1:
-        raise ValueError("restart time leaves no overlap")
-    times = traj.times
-    dt = float(times[1] - times[0])
-    t_rem = float(times[-1] - times[i1])
-    v_slice = None
-    if traj.equation == "mlans":
-        if v_traj is None:
-            raise ValueError("restarting a perturbation run needs its background trajectory")
-        _check_aligned(traj, v_traj)
-        v_slice = v_traj._restart(i1)
-    rerun = _march(traj[i1], cfg, t_rem, dt, v_slice, True, traj.equation)
-    return _weighted_sup([rerun], [traj], 0.0, BesovIndex(1.5, 2.0, 2.0), start=i1)

@@ -268,6 +268,9 @@ BAD_VALUES = [
     ["solve", "--nu", "nan"],
     ["solve", "--data-norm", "nan"],
     ["solve", "--t-end", "inf"],
+    # t_end / dt overflows the step count
+    ["solve", "--n", "16", "--t-end", "1e308", "--dt", "1e-10"],
+    ["solve", "--n", "16", "--dt", "5e-324"],
     ["pipeline", "--alpha", "nan"],
     ["pipeline", "--epsilon", "nan"],
     ["pipeline", "--q", "nan"],

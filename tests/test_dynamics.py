@@ -6,6 +6,7 @@ the public primitives; the consistency identity between the full and
 perturbation forms is checked by three independent evaluations.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,7 @@ from lanslab import (
     nonlinear_rhs,
     picard_iterate,
     random_solenoidal,
+    relative_divergence,
     reynolds_stress,
     sobolev_norm,
     solve_lans,
@@ -611,6 +613,13 @@ class TestHeatPropagator:
         assert np.array_equal(heat_propagate(f, t, 0.7).coeffs, want)
 
 
+def tail_distance(rerun, traj, i):
+    """max over rerun's nodes of the B^(3/2)_(2,2) distance to traj's node i onward."""
+    assert len(rerun) == len(traj) - i
+    part = build_partition(traj.grid)
+    return max(part.besov_norm(a - b, BesovIndex(1.5, 2.0, 2.0)) for a, b in zip(rerun, list(traj)[i:]))
+
+
 class TestMarcher:
     def test_nonlinearity_off_equals_heat_flow(self, cfg16, grid16_mod):
         u0 = band_field(grid16_mod, 0)
@@ -633,12 +642,34 @@ class TestMarcher:
 
     def test_trajectory_stays_solenoidal(self, cfg16, grid16_mod):
         traj = solve_lans(band_field(grid16_mod, 1, scale=2.0), cfg16, 0.02, 0.0025)
-        assert traj.max_relative_divergence() < 1e-10
+        assert max(relative_divergence(s) for s in traj) < 1e-10
 
     def test_mean_mode_conserved(self, cfg16, grid16_mod):
         traj = solve_lans(band_field(grid16_mod, 2, scale=2.0), cfg16, 0.02, 0.0025)
         means = [np.max(np.abs(s.coeffs[:, 0, 0, 0])) for s in traj]
         assert max(means) <= 1e-12
+
+    def test_restart_from_a_stored_node_replays_the_tail(self, grid16_mod):
+        # re-solving from node i (a discrete uniqueness check) matches the
+        # stored tail to roundoff: the march re-projects the stored state
+        cfg = LansConfig(grid=grid16_mod, alpha=0.5, nu=1.0)
+        traj = solve_lans(band_field(grid16_mod, 0, k_max=4.0, scale=2.0), cfg, 0.02, 0.0025)
+        for t1 in (0.0, 0.01):
+            i = traj.node_index(t1)
+            rerun = solve_lans(traj[i], cfg, float(traj.times[-1] - traj.times[i]), 0.0025)
+            assert tail_distance(rerun, traj, i) <= 1e-12
+
+    def test_restart_of_a_perturbation_run_replays_the_tail(self, grid16_mod):
+        # the perturbation restarts over its background's tail, with time
+        # measured from node i
+        cfg = LansConfig(grid=grid16_mod, alpha=0.5, nu=1.0)
+        v = solve_lans(band_field(grid16_mod, 50, k_max=4.0, scale=2.0), cfg, 0.02, 0.0025)
+        u = solve_mlans(band_field(grid16_mod, 51, k_max=4.0, scale=2.0), v, cfg, 0.02, 0.0025)
+        for t1 in (0.0, 0.01):
+            i = u.node_index(t1)
+            v_tail = Trajectory(v.times[i:] - v.times[i], list(v)[i:])
+            rerun = solve_mlans(u[i], v_tail, cfg, float(u.times[-1] - u.times[i]), 0.0025)
+            assert tail_distance(rerun, u, i) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_reports_step_index(self, grid16_mod):
@@ -1056,6 +1087,12 @@ class TestConfigValidation:
     def test_march_rejects_nonpositive_dt(self, cfg16, grid16_mod, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
             solve_lans(zero_field(grid16_mod), cfg16, 0.01, dt)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e308, 1e-10), (0.05, 5e-324), (1e300, 1.0)])
+    def test_step_count_past_an_array_index_is_named(self, t_end, dt):
+        # raised before the time array or a state is allocated
+        with pytest.raises(ValueError, match=re.escape(f"t_end = {t_end} over dt = {dt} is more steps")):
+            MildSolverConfig(t_end=t_end, dt=dt, weight_index=BesovIndex(1.5)).time_nodes()
 
     def test_horizon_must_be_multiple_of_dt(self):
         mcfg = MildSolverConfig(t_end=0.1, dt=0.03, weight_index=BesovIndex(1.5))

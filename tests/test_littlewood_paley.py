@@ -88,13 +88,13 @@ class TestPartitionStructure:
     def test_telescoping_reconstruction(self, part32, grid32, rng):
         # fields limited to the covered ball are reassembled exactly
         f = random_band_limited(grid32, rng, 1.0, 2.0**part32.j_max)
-        back = part32.decompose(f).reconstruct()
+        blocks = [part32.delta_j(f, j) for j in range(part32.j_max + 1)]
+        back = sum(blocks[1:], blocks[0])
         assert l2_norm(back - f) <= 1e-13 * l2_norm(f)
 
     def test_sj_equals_partial_sum(self, part32, grid32, rng):
         f = random_band_limited(grid32, rng, 1.0, 8.0)
-        blocks = part32.decompose(f)
-        partial = blocks[0] + blocks[1]
+        partial = part32.delta_j(f, 0) + part32.delta_j(f, 1)
         np.testing.assert_allclose(
             part32.s_j(f, 1).coeffs, partial.coeffs, atol=1e-14
         )
@@ -197,24 +197,32 @@ def part64():
     return build_partition(TorusGrid(3, 64))
 
 
+def block_kernel(part, j):
+    """Physical convolution kernel of Delta_j: Delta_j of the unit point mass,
+    whose coefficients are 1 / volume at every mode."""
+    grid = part.grid
+    point_mass = SpectralField(grid, np.full(grid.shape, grid.box_length**-grid.dim, dtype=np.complex128))
+    return part.delta_j(point_mass, j)
+
+
 class TestKernels:
     def test_l1_uniformly_bounded(self, part64):
         # the annulus kernels are a rescaled single profile, so their L1
         # norms approach a constant instead of growing with j
-        norms = [lp_norm(part64.kernel(j), 1.0) for j in range(1, part64.j_max + 1)]
+        norms = [lp_norm(block_kernel(part64, j), 1.0) for j in range(1, part64.j_max + 1)]
         assert max(norms) <= 10.0
         assert max(norms) / min(norms) <= 2.0
 
     def test_l2_scaling(self, part64):
         # ||K_j||_2 ~ 2^(j n / 2): ratio 2^(3/2) between consecutive shells
-        a = lp_norm(part64.kernel(2), 2.0)
-        b = lp_norm(part64.kernel(3), 2.0)
+        a = lp_norm(block_kernel(part64, 2), 2.0)
+        b = lp_norm(block_kernel(part64, 3), 2.0)
         assert b / a == pytest.approx(2.0**1.5, rel=0.05)
 
     def test_linf_scaling(self, part64):
         # ||K_j||_inf ~ 2^(j n): ratio 8 between consecutive shells
-        a = lp_norm(part64.kernel(2), np.inf)
-        b = lp_norm(part64.kernel(3), np.inf)
+        a = lp_norm(block_kernel(part64, 2), np.inf)
+        b = lp_norm(block_kernel(part64, 3), np.inf)
         assert b / a == pytest.approx(8.0, rel=0.05)
 
 
@@ -255,7 +263,8 @@ class TestCubeStorage:
         part.besov_norm(f, BesovIndex(1.0, 2.0, 2.0))
         part.besov_norm(f, BesovIndex(1.0, 4.0, 2.0))
         part.paraproduct_split(SpectralField(grid32, f.coeffs[0]), SpectralField(grid32, f.coeffs[1]))
-        part.decompose(f)
+        for j in range(part.j_max + 1):
+            part.delta_j(f, j)
         assert "multipliers" not in vars(part)
 
     def test_128_partition_is_cube_sized(self):
@@ -283,7 +292,7 @@ PROPERTY_GRIDS = [TorusGrid(2, 32), TorusGrid(2, 64), TorusGrid(3, 16), TorusGri
 
 
 class TestPartitionOperators:
-    """delta_j, s_j and kernel equal their dense multipliers bit for bit on
+    """delta_j and s_j equal their dense multipliers bit for bit on
     Hermitian data; multipliers[j] is the shell formula (checked above)."""
 
     @pytest.mark.parametrize("grid", PROPERTY_GRIDS, ids=str)
@@ -296,8 +305,6 @@ class TestPartitionOperators:
         f = forward_transform(rng.standard_normal((grid.dim,) * rank + grid.shape), grid)
         if 0 <= j <= part.j_max:
             assert np.array_equal(part.delta_j(f, j).coeffs, f.coeffs * part.multipliers[j])
-            kernel = part.multipliers[j].astype(np.complex128) / grid.box_length**grid.dim
-            assert np.array_equal(part.kernel(j).coeffs, kernel)
         if j < 0:
             expected = np.zeros_like(f.coeffs)  # S_(-1) is the empty sum
         else:

@@ -1,6 +1,6 @@
 """A-priori monitors: the energy pair, structural cancellations, the
-exponential envelope protocol, second-level term shapes, the rough/smooth
-splitting, and trajectory self-consistency.
+exponential envelope protocol, second-level term growth, the rough/smooth
+splitting, and weighted higher-regularity traces.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ from lanslab import (
     SplitConfig,
     SplitError,
     TorusGrid,
-    bootstrap_consistency,
     build_partition,
     calibrate_gronwall_constant,
     cancellation_check,
@@ -20,7 +19,6 @@ from lanslab import (
     gradient,
     gronwall_monitor,
     h2_concentration_slopes,
-    h2_term_monitor,
     higher_regularity_trace,
     l2_norm,
     random_solenoidal,
@@ -42,14 +40,6 @@ def mk_field(grid, seed, scale, k_max=4.0):
 @pytest.fixture(scope="module")
 def gron_cfg():
     return LansConfig(grid=TorusGrid(3, 16), alpha=0.5, nu=0.005)
-
-
-@pytest.fixture(scope="module")
-def h2_pair():
-    cfg = LansConfig(grid=TorusGrid(3, 16), alpha=0.5, nu=1.0)
-    v = solve_lans(mk_field(cfg.grid, 50, 2.0), cfg, 0.02, 0.0025)
-    u = solve_mlans(mk_field(cfg.grid, 51, 2.0), v, cfg, 0.02, 0.0025)
-    return u, v, cfg
 
 
 @pytest.fixture(scope="module")
@@ -171,33 +161,6 @@ class TestGronwallEnvelope:
 
 
 class TestH2Terms:
-    def test_calibration_mode_saturates_at_one(self, h2_pair):
-        u, v, cfg = h2_pair
-        rep = h2_term_monitor(u, v, cfg)
-        assert rep.calibrated_in_place
-        for name, r in rep.ratio_max.items():
-            assert r <= 1.0 + 1e-12, name
-        assert not rep.under_resolved
-
-    def test_frozen_constants_judge_same_run(self, h2_pair):
-        u, v, cfg = h2_pair
-        calib = h2_term_monitor(u, v, cfg)
-        rep = h2_term_monitor(u, v, cfg, constants=calib.constants)
-        assert not rep.calibrated_in_place
-        for name, r in rep.ratio_max.items():
-            assert r <= 1.0 + 1e-12, name
-
-    def test_background_terms_zero_without_background(self, h2_pair):
-        u, _, cfg = h2_pair
-        rep = h2_term_monitor(u, None, cfg)
-        assert np.all(rep.terms["l1"] == 0.0)
-        assert np.all(rep.terms["l2"] == 0.0)
-
-    def test_under_resolution_flag(self, h2_pair):
-        u, v, cfg = h2_pair
-        rep = h2_term_monitor(u, v, cfg, resolution_tol=0.0)
-        assert rep.under_resolved
-
     def test_concentration_slopes_below_bounds(self):
         cfg = LansConfig(grid=TorusGrid(3, 32), alpha=0.5, nu=1.0)
         out = h2_concentration_slopes(cfg)
@@ -244,7 +207,7 @@ class TestSplit:
             SplitConfig(2.0, 30.0, 1e-3)  # needs p > 2
 
 
-class TestTraceAndBootstrap:
+class TestTrace:
     def test_trace_weight_and_finiteness(self, traj16):
         rep = higher_regularity_trace(traj16, 2.5, 1.5)
         assert rep.weight == pytest.approx(0.5)
@@ -261,18 +224,3 @@ class TestTraceAndBootstrap:
         assert fine.early_value == pytest.approx(
             coarse.early_value * 0.5, rel=0.05
         )  # sqrt(1/4) with the same band-limited state
-
-    def test_bootstrap_restart_replays(self, traj16):
-        assert bootstrap_consistency(traj16, 0.0) <= 1e-12
-        assert bootstrap_consistency(traj16, 0.01) <= 1e-12
-
-    def test_bootstrap_restarts_a_perturbation_run(self, h2_pair):
-        u, v, _ = h2_pair
-        assert bootstrap_consistency(u, 0.0, v_traj=v) <= 1e-12
-        assert bootstrap_consistency(u, 0.01, v_traj=v) <= 1e-12
-        with pytest.raises(ValueError, match="background trajectory"):
-            bootstrap_consistency(u, 0.0)
-
-    def test_bootstrap_needs_overlap(self, traj16):
-        with pytest.raises(ValueError):
-            bootstrap_consistency(traj16, 0.02)

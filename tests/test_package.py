@@ -1,7 +1,9 @@
 """The package's public surface."""
 
 import ast
+import importlib.util
 import re
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -78,3 +80,17 @@ def test_every_default_is_set_by_some_caller():
             unset += [f"{path.stem}.{fn.name}({name}=)" for position, name in defaulted
                       if not any(_passes(call, position, name) for call in calls.get(fn.name, []))]
     assert unset == []
+
+
+def test_names_the_benchmark_traces_resolve():
+    # the benchmark's tracer wraps these by module and name; a deletion that
+    # removes one breaks the benchmark, not only this package's own callers
+    path = Path(__file__).resolve().parents[1] / "lansbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("lansbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    rows = tracer._function_layers()
+    assert rows
+    for module, name, _, _ in rows:
+        assert callable(getattr(sys.modules[module], name)), f"{module}.{name}"
+    assert callable(lanslab.DyadicPartition.besov_norm)
