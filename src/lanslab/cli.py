@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import LansConfig, SolverBlowupError, _time_nodes, solve_lans, solve_mlans
+from .dynamics import LansConfig, SolverBlowupError, _time_nodes, _weighted_trace, solve_lans, solve_mlans
 from .ensembles import as_rng, random_band_limited, random_solenoidal
 from .fieldio import field_to_csv, write_field
 from .inequality_lab import (
@@ -31,15 +31,13 @@ from .inequality_lab import (
     verify_product_estimate,
 )
 from .littlewood_paley import BesovIndex, _partition_depth, build_partition
-from .monitor import cancellation_check
+from .monitor import _energy_pair, cancellation_check
 from .pipeline import CLI_KEYS, PipelineConfig, run_pipeline
 from .reporting import manifest_hash, write_csv_trace, write_json_report
 from .spectral import (
     TorusGrid,
     _cube_index,
     _forward_band,
-    _half_cube,
-    _half_parseval,
     forward_transform,
     gradient,
     inverse_transform,
@@ -240,12 +238,10 @@ def _solve_once(equation: str, cfg: LansConfig, dt: float, t_end: float, seed: i
         traj = solve_mlans(u0, v_traj, cfg, t_end, dt)
     else:
         traj = solve_lans(u0, cfg, t_end, dt)
-    rows = []  # l2_norm, besov_norm and energy_pair of each node, read from its stored half cube
-    for t, half in zip(traj.times, traj._halves):
-        l2 = float(np.sqrt(_half_parseval(half, grid)))
-        h1 = _half_parseval(half, grid, _half_cube(grid, half.shape[-1] - 1).k_squared)
-        rows.append((t, l2, part._half_besov(half, idx, 0), float(l2**2 + cfg.alpha**2 * h1)))
-    return traj, rows
+    # l2_norm, besov_norm and energy_pair of each node, read from its stored half cube
+    pairs = [_energy_pair(half, grid, cfg.alpha) for half in traj._halves]
+    besov = _weighted_trace([traj], [], 0.0, idx)[1]
+    return traj, [(t, l2, b, e) for t, (l2, e), b in zip(traj.times, pairs, besov)]
 
 
 def cmd_solve(args) -> int:

@@ -65,8 +65,8 @@ from .spectral import (
     _irfft,
     _leray,
     _rfft,
-    _WORK,
     _work,
+    _work_arrays,
     dealias,
     heat_propagate,
     leray_project,
@@ -197,8 +197,9 @@ class Trajectory:
     All states live on one grid, and their half cubes of one band are
     stacked into one array: the dealias band K when every state lies in the
     dealias cube, as the solvers' states do, else N/2, the half lattice.
-    traj[i] completes node i to a fresh SpectralField, and iterating a
-    trajectory yields its nodes in time order.
+    traj[i] completes node i to a fresh SpectralField (IndexError past the
+    end, so `for u in traj` yields the nodes in time order); the monitors
+    and norms read the stacked half cubes and complete no node.
     """
 
     def __init__(self, times, states, equation: str = "lans", config: LansConfig | None = None):
@@ -234,9 +235,6 @@ class Trajectory:
         coeffs = _complete(half, self.grid, half.shape[-1] - 1)
         coeffs[..., self.grid.points_per_axis // 2 + 1 :] += 0.0
         return SpectralField(self.grid, coeffs)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @property
     def final(self) -> SpectralField:
@@ -520,9 +518,8 @@ def duhamel_map(
     dt = float(times[1] - times[0])
     v_nodes = _background_nodes(v_traj, times, grid)
     heat_mult, step_mult = (np.exp(-cfg.nu * dt * _half_cube(grid, b).k_squared) for b in (band, grid.dealias_keep))
-    _WORK.slots = [b"", b""]  # the kernel calls below reuse the transforms' work arrays
-    n_halves = [_rhs_half(cfg, *_node_inputs(grid, u, v)) for u, v in zip(traj._halves, v_nodes)]
-    del _WORK.slots
+    with _work_arrays():  # the kernel calls reuse the transforms' work arrays
+        n_halves = [_rhs_half(cfg, *_node_inputs(grid, u, v)) for u, v in zip(traj._halves, v_nodes)]
     heat = _cut_half(u0.coeffs, grid, band) * np.exp(-cfg.nu * times[0] * _half_cube(grid, band).k_squared)
     halves = np.empty((len(times),) + heat.shape, dtype=np.complex128)
     halves[0] = heat if times[0] > 0 else _cut_half(dealias(u0).coeffs, grid, band)
@@ -671,23 +668,22 @@ def _march(
     require_solenoidal(u0)
     times = _time_nodes(t_end, dt)
     v_nodes = _background_nodes(v_traj, times, grid)
-    _WORK.slots = [b"", b""]  # the kernel calls below reuse the transforms' work arrays
     e_dt, phi1, phi2 = _phi_factors(-cfg.nu * dt * _half_cube(grid, keep).k_squared)
 
     u = _leray(_cut_half(u0.coeffs, grid, keep), grid, keep)
     halves = np.empty((len(times),) + u.shape, dtype=np.complex128)
     halves[0] = u
-    for i, (v_now, v_next) in enumerate(itertools.pairwise(v_nodes)):
-        if nonlinear:
-            n_u = _rhs_half(cfg, *_node_inputs(grid, u, v_now))
-            stage = e_dt * u + dt * phi1 * n_u
-            nxt = stage + dt * phi2 * (_rhs_half(cfg, *_node_inputs(grid, stage, v_next)) - n_u)
-        else:
-            nxt = e_dt * u
-        u = halves[i + 1] = _leray(nxt, grid, keep)
-        if not np.isfinite(u).all():
-            raise SolverBlowupError(i + 1, float(times[i + 1]))
-    del _WORK.slots
+    with _work_arrays():  # the kernel calls reuse the transforms' work arrays
+        for i, (v_now, v_next) in enumerate(itertools.pairwise(v_nodes)):
+            if nonlinear:
+                n_u = _rhs_half(cfg, *_node_inputs(grid, u, v_now))
+                stage = e_dt * u + dt * phi1 * n_u
+                nxt = stage + dt * phi2 * (_rhs_half(cfg, *_node_inputs(grid, stage, v_next)) - n_u)
+            else:
+                nxt = e_dt * u
+            u = halves[i + 1] = _leray(nxt, grid, keep)
+            if not np.isfinite(u).all():
+                raise SolverBlowupError(i + 1, float(times[i + 1]))
     return Trajectory._adopt(times, grid, halves, equation, cfg)
 
 

@@ -19,6 +19,9 @@ from .dynamics import LansConfig, Trajectory, _nonlinear_terms, _weighted_trace,
 from .littlewood_paley import BesovIndex, build_partition
 from .spectral import (
     SpectralField,
+    _half,
+    _half_cube,
+    _half_parseval,
     forward_transform,
     gradient,
     inverse_transform,
@@ -76,8 +79,14 @@ class EnergyReport:
 
 
 def energy_pair(u: SpectralField, alpha: float) -> float:
-    """||u||^2_(L2) + alpha^2 ||u||^2_(homogeneous H1), both by Parseval."""
-    return l2_norm(u) ** 2 + alpha**2 * sobolev_norm(u, 1.0, 2.0, homogeneous=True) ** 2
+    """||u||^2_(L2) + alpha^2 ||u||^2_(homogeneous H1), both by Parseval over the rfftn half lattice."""
+    return _energy_pair(_half(u.coeffs, u.grid), u.grid, alpha)[1]
+
+
+def _energy_pair(half: np.ndarray, grid, alpha: float) -> tuple:
+    """(||u||_(L2), energy_pair) of the field u whose half cube or half lattice half holds, by _half_parseval."""
+    l2 = float(np.sqrt(_half_parseval(half, grid)))
+    return l2, float(l2**2 + alpha**2 * _half_parseval(half, grid, _half_cube(grid, half.shape[-1] - 1).k_squared))
 
 
 def _convective(pu: np.ndarray, jac: np.ndarray, grid) -> SpectralField:
@@ -141,15 +150,6 @@ def cancellation_check(u: SpectralField, alpha: float) -> CancellationResiduals:
     return CancellationResiduals(i1, i2, i3, raw1, raw2, raw3)
 
 
-def _check_aligned(u_traj: Trajectory, v_traj: Trajectory | None):
-    if v_traj is None:
-        return
-    if u_traj.grid != v_traj.grid:
-        raise ValueError("trajectories live on different grids")
-    if len(u_traj) != len(v_traj) or np.max(np.abs(u_traj.times - v_traj.times)) > 1e-9:
-        raise ValueError("trajectories use different time grids")
-
-
 def gronwall_monitor(
     u_traj: Trajectory,
     v_traj: Trajectory | None,
@@ -159,24 +159,31 @@ def gronwall_monitor(
     """Energy pair along u against exp(C alpha^-2 int ||v||_(H^2,2)).
 
     The background norm uses the inhomogeneous multiplier (1 + |k|^2)
-    followed by L^2.  `constant` is the frozen calibrated C; if
+    followed by L^2.  Both read each node's stored half cube by Parseval and
+    complete no node.  `constant` is the frozen calibrated C; if
     omitted it is fitted on this very run (flagged in extras, such a report
     must not be used as a pass).
     """
-    _check_aligned(u_traj, v_traj)
     if alpha <= 0:
         raise ValueError("the exponential bound needs alpha > 0")
-    times = u_traj.times
-    e = np.array([energy_pair(s, alpha) for s in u_traj])
-    integrand = (np.zeros_like(times) if v_traj is None
-                 else np.array([sobolev_norm(s, 2.0, 2.0, homogeneous=False) for s in v_traj]))
+    times, grid = u_traj.times, u_traj.grid
+    integrand = np.zeros_like(times)
+    if v_traj is not None:
+        if v_traj.grid != grid:
+            raise ValueError("trajectories live on different grids")
+        if len(v_traj) != len(times) or np.max(np.abs(v_traj.times - times)) > 1e-9:
+            raise ValueError("trajectories use different time grids")
+        weight = (1.0 + _half_cube(grid, v_traj._halves.shape[-1] - 1).k_squared) ** 2
+        integrand = np.array([np.sqrt(_half_parseval(half, grid, weight)) for half in v_traj._halves])
+    e = np.array([_energy_pair(half, grid, alpha)[1] for half in u_traj._halves])
     # cumulative trapezoid rule, accumulated left to right
     increments = 0.5 * np.diff(times) * (integrand[1:] + integrand[:-1])
     accumulated = np.concatenate(([0.0], np.cumsum(increments)))
 
     calibrated_here = constant is None
-    if calibrated_here:
-        constant = _fit_gronwall_constant(e, accumulated, alpha)
+    if calibrated_here:  # the smallest C with e(t) <= e(0) exp(C alpha^-2 int), over the times where e grew
+        constant = max([alpha**2 * np.log(e[i] / e[0]) / accumulated[i] for i in range(1, len(e))
+                        if e[i] > e[0] and accumulated[i] > 0], default=0.0)
     envelope = e[0] * np.exp(constant * alpha**-2 * accumulated)
     ratio = np.where(envelope > 0, e / envelope, 0.0)
     return EnergyReport(
@@ -189,16 +196,6 @@ def gronwall_monitor(
             "accumulated_integral": accumulated,
         },
     )
-
-
-def _fit_gronwall_constant(e: np.ndarray, accumulated: np.ndarray, alpha: float) -> float:
-    """Smallest C with e(t) <= e(0) exp(C alpha^-2 int): the max over times
-    of alpha^2 log(e/e0) / int, over times where the energy actually grew."""
-    best = 0.0
-    for i in range(1, len(e)):
-        if e[i] > e[0] and accumulated[i] > 0:
-            best = max(best, alpha**2 * np.log(e[i] / e[0]) / accumulated[i])
-    return best
 
 
 def calibrate_gronwall_constant(runs: list, alpha: float) -> float:

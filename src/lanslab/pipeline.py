@@ -79,8 +79,9 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.p > 2.0:
             raise ValueError(f"base integrability must exceed 2, got p={self.p}")
-        if not 0 < self.data_scale < np.inf:
-            raise ValueError(f"data_scale must be finite and > 0, got {self.data_scale}")
+        for name in ("alpha", "data_scale"):  # the energy envelope exp(C alpha^-2 int ...) needs alpha > 0
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.steps <= 0 or self.steps % 8 != 0:
             raise ValueError("steps must be a positive multiple of 8 so the gate grid nests")
         _time_nodes(self.t_end, self.dt)

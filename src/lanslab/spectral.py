@@ -28,7 +28,7 @@ products, the field ensembles, heat_propagate and the nonlinearity kernel
 use the band mode; the kernel's, heat_propagate's and the ensembles'
 multipliers act on arrays built once per band (_HalfCube), and
 _half_k_squared gives |k|^2 there afresh.  _half_parseval sums |c|^2 over a
-half cube, the Besov p = 2 blocks' and the solve command's norm rows' Parseval.
+half cube or half lattice for the Besov p = 2 blocks and monitor._energy_pair.
 
 Nyquist policy: on the full lattice the index N/2 of an axis is the
 frequency -N/2, whose mirror image is itself, so the odd multiplier i k
@@ -55,6 +55,7 @@ import itertools
 import math
 import mmap
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -411,6 +412,16 @@ def _data_band(grid: TorusGrid, *arrays) -> int:
 
 
 _WORK = threading.local()  # .slots: the two work arrays of the march or Duhamel map this thread runs
+
+
+@contextmanager
+def _work_arrays():
+    """Give this thread's _work calls in the block their two reused slots; leaving it drops them, by a raise too."""
+    _WORK.slots = [b"", b""]
+    try:
+        yield
+    finally:
+        del _WORK.slots
 
 
 def _work(slot: int, shape: tuple, dtype=np.complex128) -> np.ndarray:

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import lanslab
-from lanslab import BesovIndex, DyadicPartition, build_partition, l2_norm, read_field
+from lanslab import BesovIndex, DyadicPartition, Trajectory, build_partition, l2_norm, read_field, sobolev_norm
+from lanslab import cli
 from lanslab.cli import _solve_config, _solve_once, _suite_partition, build_parser, main
-from lanslab.monitor import energy_pair
 
 
 def read_report(path):
@@ -150,7 +150,8 @@ class TestSolve:
     @pytest.mark.parametrize("equation", ["lans", "mlans"])
     def test_rows_are_the_norms_of_the_nodes(self, equation):
         # each row is read from the node's stored half cube; the lattice
-        # norms of the completed node are the oracle
+        # norms of the completed node are the oracle, the energy pair
+        # composed from l2_norm and the homogeneous H^1 sobolev_norm
         cfg = _solve_config(16, 0.1, 1.0, 0.0025, 0.01)
         traj, rows = _solve_once(equation, cfg, 0.0025, 0.01, 3, 0.01)
         part, idx = build_partition(cfg.grid), BesovIndex(1.5, 2.0, 2.0)
@@ -159,7 +160,20 @@ class TestSolve:
             assert t == time
             assert l2 == pytest.approx(l2_norm(node), rel=1e-14)
             assert besov == part.besov_norm(node, idx)
-            assert pair == pytest.approx(energy_pair(node, cfg.alpha), rel=1e-14)
+            assert pair == pytest.approx(l2_norm(node) ** 2 + cfg.alpha**2 * sobolev_norm(node, 1.0) ** 2,
+                                         rel=1e-14)
+
+    def test_rows_complete_no_node(self, monkeypatch):
+        # the rows read the stored half cubes; completing a node is the lattice path
+        def complete(traj, i):
+            raise AssertionError("a node was completed to the lattice")
+
+        monkeypatch.setattr(Trajectory, "__getitem__", complete)
+        cfg = _solve_config(16, 0.1, 1.0, 0.0025, 0.01)
+        traj, rows = _solve_once("mlans", cfg, 0.0025, 0.01, 3, 0.01)
+        assert len(rows) == len(traj) == 5
+        with pytest.raises(AssertionError, match="completed"):
+            traj.final
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_returns_failure(self, tmp_path, capsys):
@@ -219,6 +233,17 @@ class TestPipeline:
         assert doc["status"] == "aborted"
         assert doc["reason"].startswith("split:")
 
+    def test_alpha_zero_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # the energy envelope needs alpha > 0: a usage error, not a traceback after the whole run
+        def run(pcfg):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "run_pipeline", run)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--n", "16", "--steps", "8", "--alpha", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["pipeline: alpha must be finite and > 0, got 0.0"]
+        assert not out.exists()
+
     def test_flags_types_and_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["pipeline", "--help"])
@@ -272,6 +297,7 @@ BAD_VALUES = [
     ["solve", "--n", "16", "--t-end", "1e308", "--dt", "1e-10"],
     ["solve", "--n", "16", "--dt", "5e-324"],
     ["pipeline", "--alpha", "nan"],
+    ["pipeline", "--alpha", "0"],
     ["pipeline", "--epsilon", "nan"],
     ["pipeline", "--q", "nan"],
     ["pipeline", "--data-scale", "nan"],

@@ -229,6 +229,32 @@ class TestWorkArrays:
             assert_same_bits(g, w)
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_march_that_raises_drops_its_work_arrays(self, cfg16, grid16_mod):
+        # later transforms on this thread must not run in a dead march's slots
+        from lanslab.spectral import _WORK
+
+        u0 = random_solenoidal(grid16_mod, np.random.default_rng(0), k_min=1.0, k_max=4.0) * 1e150
+        with pytest.raises(SolverBlowupError) as err:
+            solve_lans(u0, cfg16, 0.01, 0.001)
+        assert err.value.step == 1
+        assert "slots" not in _WORK.__dict__
+
+    def test_a_duhamel_map_that_raises_drops_its_work_arrays(self, cfg16, grid16_mod, monkeypatch):
+        from lanslab.spectral import _WORK
+
+        def rhs(cfg, u, v):
+            assert "slots" in _WORK.__dict__  # the kernel runs in the slots
+            raise RuntimeError("kernel failed")
+
+        traj = solve_lans(band_field(grid16_mod, 0), cfg16, 0.01, 0.0025)
+        monkeypatch.setattr(dynamics, "_rhs_half", rhs)
+        mcfg = MildSolverConfig(t_end=0.01, dt=0.0025, weight_index=BesovIndex(1.5, 2.0, 2.0))
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            duhamel_map(traj, traj[0], cfg16, mcfg)
+        assert "slots" not in _WORK.__dict__
+
+
 class TestVectorFields:
     def test_zero_maps_to_zero(self, cfg16, grid16_mod):
         z = zero_field(grid16_mod)

@@ -6,11 +6,13 @@ splitting, and weighted higher-regularity traces.
 import numpy as np
 import pytest
 
+import lanslab
 from lanslab import (
     LansConfig,
     SplitConfig,
     SplitError,
     TorusGrid,
+    Trajectory,
     build_partition,
     calibrate_gronwall_constant,
     cancellation_check,
@@ -21,12 +23,14 @@ from lanslab import (
     h2_concentration_slopes,
     higher_regularity_trace,
     l2_norm,
+    leray_project,
     random_solenoidal,
     sobolev_norm,
     solve_lans,
     solve_mlans,
     split_with_report,
 )
+from lanslab.spectral import _half_cube, _half_parseval
 from conftest import zero_field
 
 VOLUME_3D = (2.0 * np.pi) ** 3
@@ -145,13 +149,64 @@ class TestGronwallEnvelope:
         assert rep.max_bound_ratio <= 1.0 + 1e-12
 
     def test_accumulated_integral_is_sequential_trapezoid(self, traj16):
+        # the integrand ||v||_(H^2,2) of each node, by Parseval on its stored half cube
         rep = gronwall_monitor(traj16, traj16, 0.5)
-        f = [sobolev_norm(s, 2.0, homogeneous=False) for s in traj16]
+        weight = (1.0 + _half_cube(traj16.grid, traj16._halves.shape[-1] - 1).k_squared) ** 2
+        f = [np.sqrt(_half_parseval(half, traj16.grid, weight)) for half in traj16._halves]
         t = traj16.times
         expected = [0.0]
         for i in range(1, len(t)):
             expected.append(expected[-1] + 0.5 * (t[i] - t[i - 1]) * (f[i] + f[i - 1]))
         assert np.array_equal(rep.extras["accumulated_integral"], expected)
+
+    @pytest.mark.parametrize("storage", ["dealias_cube", "nyquist_lattice"])
+    def test_matches_the_completed_nodes_on_the_lattice(self, storage):
+        # solver trajectories keep the dealias half cube; the public
+        # constructor keeps projected noise on the half lattice, Nyquist
+        # plane included.  The lattice norms of each completed node are the
+        # oracle: the energy pair composed from l2_norm and the homogeneous
+        # H^1 sobolev_norm, and the trapezoid of the inhomogeneous H^2 norms
+        cfg = LansConfig(grid=TorusGrid(3, 16), alpha=0.5, nu=1.0)
+        grid = cfg.grid
+        if storage == "dealias_cube":
+            v = solve_lans(mk_field(grid, 1, 3.0), cfg, 0.01, 0.0025)
+            u = solve_mlans(mk_field(grid, 2, 1.0), v, cfg, 0.01, 0.0025)
+            assert u._halves.shape[-1] == v._halves.shape[-1] == grid.dealias_keep + 1
+        else:
+            rng = np.random.default_rng(5)
+            times = np.linspace(0.0, 0.01, 5)
+
+            def noise():
+                return Trajectory(times, [leray_project(forward_transform(rng.standard_normal((3,) + grid.shape), grid))
+                                          for _ in times])
+            u, v = noise(), noise()
+            assert u._halves.shape[-1] == v._halves.shape[-1] == grid.points_per_axis // 2 + 1
+        rep = gronwall_monitor(u, v, cfg.alpha)
+        for got, s in zip(rep.e_pair, u):
+            assert got == pytest.approx(l2_norm(s) ** 2 + cfg.alpha**2 * sobolev_norm(s, 1.0) ** 2, rel=1e-14)
+        f = [sobolev_norm(s, 2.0, homogeneous=False) for s in v]
+        t = v.times
+        expected = np.concatenate(([0.0], np.cumsum([0.5 * (t[i] - t[i - 1]) * (f[i] + f[i - 1])
+                                                      for i in range(1, len(t))])))
+        assert rep.extras["accumulated_integral"] == pytest.approx(expected, rel=1e-14)
+
+    def test_completes_no_node(self, traj16, monkeypatch):
+        # the monitor reads the stored half cubes; every _complete binding
+        # in the package is watched, and reading a node shows the watch works
+        completed = []
+
+        def watch(complete):
+            def counted(half, grid, band):
+                completed.append(half.shape)
+                return complete(half, grid, band)
+            return counted
+
+        for module in (lanslab.spectral, lanslab.dynamics, lanslab.ensembles, lanslab.littlewood_paley):
+            monkeypatch.setattr(module, "_complete", watch(module._complete))
+        gronwall_monitor(traj16, traj16, 0.5)
+        assert completed == []
+        traj16[0]
+        assert completed == [traj16._halves[0].shape]
 
     def test_alpha_positive_required(self, gron_cfg):
         cfg = gron_cfg

@@ -49,6 +49,20 @@ def test_every_private_helper_is_used_by_the_package():
     assert sorted(name for name in own if used[name] <= own[name]) == []
 
 
+def test_only_the_norms_know_the_half_cube_parseval_rule():
+    # _half_parseval counts m_last = 0 once and the other planes twice; only
+    # the Besov blocks and the energy pair read it outside spectral
+    package = Path(lanslab.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+        if "_half_parseval" in imported or _references(tree)["_half_parseval"]:
+            readers.append(path.name)
+    assert "monitor.py" in readers
+    assert [name for name in readers if name not in ("spectral.py", "littlewood_paley.py", "monitor.py")] == []
+
+
 def _passes(call: ast.Call, position: int | None, name: str) -> bool:
     """Whether a call sets a parameter, given its positional index (None for
     keyword-only).  A *args or **kwargs argument may set any parameter."""

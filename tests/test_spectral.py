@@ -35,7 +35,6 @@ from lanslab import (
     sobolev_norm,
 )
 from lanslab.dynamics import _flux_half, _kernel_inputs
-from lanslab.monitor import energy_pair
 from lanslab.spectral import (
     _complete,
     _cube_index,
@@ -521,8 +520,9 @@ PARSEVAL_GRIDS = [TorusGrid(dim=d, points_per_axis=n, box_length=length)
 
 class TestHalfCubeParseval:
     """_half_parseval on a half cube (band K) or the half lattice (band N/2,
-    Nyquist plane m_last = N/2 present) gives l2_norm and energy_pair of
-    the completed field."""
+    Nyquist plane m_last = N/2 present) gives l2_norm and the energy pair,
+    composed from l2_norm and the homogeneous H^1 sobolev_norm, of the
+    completed field."""
 
     @pytest.mark.parametrize("grid", PARSEVAL_GRIDS,
                              ids=[f"{g.points_per_axis}^{g.dim}-L{g.box_length:.3g}" for g in PARSEVAL_GRIDS])
@@ -537,4 +537,4 @@ class TestHalfCubeParseval:
         l2sq = _half_parseval(half, grid)
         pair = l2sq + alpha**2 * _half_parseval(half, grid, _half_cube(grid, band).k_squared)
         assert np.sqrt(l2sq) == pytest.approx(l2_norm(field), rel=1e-14)
-        assert pair == pytest.approx(energy_pair(field, alpha), rel=1e-14)
+        assert pair == pytest.approx(l2_norm(field) ** 2 + alpha**2 * sobolev_norm(field, 1.0) ** 2, rel=1e-14)
