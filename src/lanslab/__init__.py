@@ -30,7 +30,6 @@ from .dynamics import (
     reynolds_stress,
     solve_lans,
     solve_mlans,
-    weighted_norm,
 )
 from .ensembles import (
     as_rng,

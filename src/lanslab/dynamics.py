@@ -36,7 +36,10 @@ The march and the Duhamel map hold u, the stage, the kernel outputs
 same half cube, which holds every state they make; a Trajectory stacks
 the states' half cubes and completes a node only when it is read.  All
 norms of trajectories are weighted Besov sups of the form
-sup_t t^a ||u(t)||, taken node by node over the stacked half cubes.
+sup_t t^a ||u(t)||, taken node by node over the stacked half cubes.  The
+Picard iteration's weight follows from its index s: a = (s - n/2)/2, the
+critical weighting Kato used for Navier-Stokes (Math. Z. 187, 1984), so
+a = 0 at s = n/2.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ __all__ = [
     "picard_iterate",
     "solve_lans",
     "solve_mlans",
-    "weighted_norm",
 ]
 
 
@@ -137,21 +139,19 @@ class LansConfig:
 class MildSolverConfig:
     """Discretization and stopping control for the Duhamel fixed point.
 
-    weight_a and weight_index define the iteration metric
-    sup_t t^weight_a * besov_norm(. , weight_index).  When
-    enforce_weight_relation is set, weight_a must equal
-    (weight_index.s - dim/2)/2, the scaling-critical choice for data one
-    derivative class below weight_index.s.
+    The iteration metric is sup_t t^a * besov_norm(. , weight_index) with
+    the weight derived from the index, a = (weight_index.s - dim/2)/2: the
+    scaling-critical choice for data in B^(dim/2), so a = 0 at s = dim/2
+    and the t = 0 node counts, and a = 1/2 at s = 5/2 in 3-D.
+    picard_iterate rejects s < dim/2.
     """
 
     t_end: float
     dt: float
     weight_index: BesovIndex
-    weight_a: float = 0.0
     picard_tol: float = 1e-9
     picard_max_iters: int = 40
     contraction_target: float = 0.5
-    enforce_weight_relation: bool = False
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -160,18 +160,8 @@ class MildSolverConfig:
             raise ValueError("t_end must be positive")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.weight_a < 0:
-            raise ValueError("weight_a must be nonnegative")
         if self.contraction_target <= 0:
             raise ValueError("contraction_target must be positive")
-
-    def validate_weight_relation(self, dim: int):
-        expected = (self.weight_index.s - dim / 2.0) / 2.0
-        if abs(self.weight_a - expected) > 1e-12:
-            raise ValueError(
-                f"weight_a = {self.weight_a} inconsistent with "
-                f"(s - n/2)/2 = {expected} for s = {self.weight_index.s}, n = {dim}"
-            )
 
     def time_nodes(self) -> np.ndarray:
         return _time_nodes(self.t_end, self.dt)
@@ -202,29 +192,29 @@ class Trajectory:
     and norms read the stacked half cubes and complete no node.
     """
 
-    def __init__(self, times, states, equation: str = "lans", config: LansConfig | None = None):
+    def __init__(self, times, states, config: LansConfig | None = None):
         if len(states) == 0:
             raise ValueError("empty trajectory")
         for state in states[1:]:
             _check_same_grid(states[0], state)
         band = _data_band(states[0].grid, *(state.coeffs for state in states))
         halves = np.stack([_cut_half(state.coeffs, state.grid, band) for state in states])
-        self._init(times, states[0].grid, halves, equation, config)
+        self._init(times, states[0].grid, halves, config)
 
     @classmethod
-    def _adopt(cls, times, grid: TorusGrid, halves: np.ndarray, equation: str, config) -> "Trajectory":
+    def _adopt(cls, times, grid: TorusGrid, halves: np.ndarray, config) -> "Trajectory":
         """A trajectory that owns halves, its nodes' stacked half cubes, without copying them."""
         traj = cls.__new__(cls)
-        traj._init(times, grid, halves, equation, config)
+        traj._init(times, grid, halves, config)
         return traj
 
-    def _init(self, times, grid, halves, equation, config):
+    def _init(self, times, grid, halves, config):
         self.times = np.asarray(times, dtype=float)
         if len(self.times) != len(halves):
             raise ValueError("times and states must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        self.grid, self._halves, self.equation, self.config = grid, halves, equation, config
+        self.grid, self._halves, self.config = grid, halves, config
 
     def __len__(self) -> int:
         return len(self._halves)
@@ -248,9 +238,6 @@ class Trajectory:
         if not abs(self.times[i] - t) <= 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"time {t} is not a stored node of this trajectory")
         return i
-
-    def state_at(self, t: float) -> SpectralField:
-        return self[self.node_index(t)]
 
 
 @dataclass
@@ -528,7 +515,7 @@ def duhamel_map(
         integral = step_mult * (integral + 0.5 * dt * n_halves[i - 1]) + 0.5 * dt * n_halves[i]
         heat = heat_mult * heat
         np.add(heat, _cut_half(integral, grid, band), out=halves[i])
-    return Trajectory._adopt(times, grid, halves, traj.equation, cfg)
+    return Trajectory._adopt(times, grid, halves, cfg)
 
 
 def _weighted_trace(plus: list, minus: list, a: float, index: BesovIndex, step: int = 1) -> tuple:
@@ -555,12 +542,6 @@ def _weighted_sup(plus: list, minus: list, a: float, index: BesovIndex, step: in
     return float(np.max(_weighted_trace(plus, minus, a, index, step)[1], initial=0.0))
 
 
-def weighted_norm(traj: Trajectory, a: float, index: BesovIndex) -> float:
-    """sup over stored nodes of t^a * besov_norm(u(t)); the t = 0 node
-    participates only when a = 0."""
-    return _weighted_sup([traj], [], a, index)
-
-
 def picard_iterate(
     u0: SpectralField,
     v_traj: Trajectory | None,
@@ -570,7 +551,9 @@ def picard_iterate(
     """Iterate the Duhamel map from the pure heat flow of u0.
 
     Returns (trajectory, history).  history[m].delta_norm is the weighted
-    distance between iterates m and m+1; since the returned trajectory is
+    distance sup_t t^a ||. ||_(B^s) between iterates m and m+1, with
+    weight_index B^s and a = (s - dim/2)/2 (MildSolverConfig); s < dim/2
+    raises ValueError before any work.  Since the returned trajectory is
     the image of the last iterate, the final delta_norm is also its
     predecessor's fixed-point residual.
 
@@ -582,20 +565,21 @@ def picard_iterate(
     and the full history; the usual cure is a shorter horizon or smaller
     data, since the certified factor scales linearly with the data size.
     """
-    grid = cfg.grid
+    grid, index = cfg.grid, mcfg.weight_index
+    if index.s < grid.dim / 2.0:
+        raise ValueError(f"the Picard weight (s - n/2)/2 needs s >= n/2, got s = {index.s}, n = {grid.dim}")
+    weight = (index.s - grid.dim / 2.0) / 2.0
     require_solenoidal(u0)
-    if mcfg.enforce_weight_relation:
-        mcfg.validate_weight_relation(grid.dim)
     u0 = leray_project(dealias(u0))
     times = mcfg.time_nodes()
     start, ksq = _cut_half(u0.coeffs, grid, grid.dealias_keep), _half_cube(grid, grid.dealias_keep).k_squared
     heat = np.stack([start * np.exp(-cfg.nu * t * ksq) for t in times])  # u0's heat flow, on the dealias half cube
-    current = Trajectory._adopt(times, grid, heat, "mlans" if v_traj is not None else "lans", cfg)
+    current = Trajectory._adopt(times, grid, heat, cfg)
     history: list = []
     prev_delta = None
     for m in range(1, mcfg.picard_max_iters + 1):
         image = duhamel_map(current, u0, cfg, mcfg, v_traj)
-        delta = _weighted_distance(image, current, mcfg)
+        delta = _weighted_sup([image], [current], weight, index)
         ratio = None if prev_delta in (None, 0.0) else delta / prev_delta
         history.append(IterationState(delta_norm=delta, ratio=ratio))
         if not np.isfinite(delta):
@@ -623,10 +607,6 @@ def picard_iterate(
     )
 
 
-def _weighted_distance(a: Trajectory, b: Trajectory, mcfg: MildSolverConfig) -> float:
-    return _weighted_sup([a], [b], mcfg.weight_a, mcfg.weight_index)
-
-
 _PHI2_TAYLOR = 1.0 / np.array([math.factorial(n + 2) for n in range(18)], dtype=float)
 
 
@@ -642,10 +622,12 @@ def _phi_factors(z: np.ndarray) -> tuple:
     e = np.exp(z)
     zs = np.where(z == 0.0, 1.0, z)  # placeholder to keep divisions defined
     phi1 = np.where(z == 0.0, 1.0, np.expm1(z) / zs)
-    series = np.zeros_like(z)
+    phi2 = np.zeros_like(z)
     for c in _PHI2_TAYLOR[::-1]:
-        series = series * z + c
-    phi2 = np.where(np.abs(z) < 1.0, series, (np.expm1(z) - z) / zs**2)
+        phi2 = phi2 * z + c
+    # the closed form only where it replaces the series: z^2 underflows to 0 below |z| ~ 1.6e-162
+    big = np.abs(z) >= 1.0
+    phi2[big] = (np.expm1(z[big]) - z[big]) / z[big] ** 2
     return e, phi1, phi2
 
 
@@ -655,8 +637,6 @@ def _march(
     t_end: float,
     dt: float,
     v_traj: Trajectory | None,
-    nonlinear: bool,
-    equation: str,
 ) -> Trajectory:
     """The exponential-integrator march.  u0 is cut to the dealias half cube and
     projected there (leray_project(dealias(u0)) cut to it, bit for bit); u, the
@@ -675,16 +655,13 @@ def _march(
     halves[0] = u
     with _work_arrays():  # the kernel calls reuse the transforms' work arrays
         for i, (v_now, v_next) in enumerate(itertools.pairwise(v_nodes)):
-            if nonlinear:
-                n_u = _rhs_half(cfg, *_node_inputs(grid, u, v_now))
-                stage = e_dt * u + dt * phi1 * n_u
-                nxt = stage + dt * phi2 * (_rhs_half(cfg, *_node_inputs(grid, stage, v_next)) - n_u)
-            else:
-                nxt = e_dt * u
+            n_u = _rhs_half(cfg, *_node_inputs(grid, u, v_now))
+            stage = e_dt * u + dt * phi1 * n_u
+            nxt = stage + dt * phi2 * (_rhs_half(cfg, *_node_inputs(grid, stage, v_next)) - n_u)
             u = halves[i + 1] = _leray(nxt, grid, keep)
             if not np.isfinite(u).all():
                 raise SolverBlowupError(i + 1, float(times[i + 1]))
-    return Trajectory._adopt(times, grid, halves, equation, cfg)
+    return Trajectory._adopt(times, grid, halves, cfg)
 
 
 def solve_lans(
@@ -692,15 +669,15 @@ def solve_lans(
     cfg: LansConfig,
     t_end: float,
     dt: float,
-    nonlinear: bool = True,
 ) -> Trajectory:
     """Second-order exponential-integrator march of the filtered equation.
 
-    The viscous factor is applied exactly, so with the nonlinearity
-    disabled the output IS the heat flow.  States are dealiased and
-    re-projected every step; a non-finite state aborts with its step index.
+    The viscous factor is applied exactly, so where the projected
+    nonlinearity vanishes (a Beltrami field) the output is the heat flow.
+    States are dealiased and re-projected every step; a non-finite state
+    aborts with its step index.
     """
-    return _march(w0, cfg, t_end, dt, None, nonlinear, "lans")
+    return _march(w0, cfg, t_end, dt, None)
 
 
 def solve_mlans(
@@ -712,4 +689,4 @@ def solve_mlans(
 ) -> Trajectory:
     """The same nonlinear march for the perturbation equation; the background
     v must provide states at every step node (solve it first on the same grid)."""
-    return _march(u0, cfg, t_end, dt, v_traj, True, "mlans")
+    return _march(u0, cfg, t_end, dt, v_traj)

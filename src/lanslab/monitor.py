@@ -11,6 +11,7 @@ same data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -150,6 +151,16 @@ def cancellation_check(u: SpectralField, alpha: float) -> CancellationResiduals:
     return CancellationResiduals(i1, i2, i3, raw1, raw2, raw3)
 
 
+def _inverse_square(alpha: float) -> float:
+    """alpha^-2, the envelope's rate factor; ValueError unless alpha > 0 and alpha^-2 is a finite double."""
+    if not alpha > 0:
+        raise ValueError("the exponential bound needs alpha > 0")
+    try:
+        return math.pow(alpha, -2)
+    except OverflowError:
+        raise ValueError(f"the exponential bound needs a finite alpha^-2, got alpha = {alpha}") from None
+
+
 def gronwall_monitor(
     u_traj: Trajectory,
     v_traj: Trajectory | None,
@@ -162,10 +173,10 @@ def gronwall_monitor(
     followed by L^2.  Both read each node's stored half cube by Parseval and
     complete no node.  `constant` is the frozen calibrated C; if
     omitted it is fitted on this very run (flagged in extras, such a report
-    must not be used as a pass).
+    must not be used as a pass).  alpha^-2 must be a finite double
+    (alpha above about 7.5e-155), else ValueError before any work.
     """
-    if alpha <= 0:
-        raise ValueError("the exponential bound needs alpha > 0")
+    inverse_square = _inverse_square(alpha)
     times, grid = u_traj.times, u_traj.grid
     integrand = np.zeros_like(times)
     if v_traj is not None:
@@ -184,7 +195,7 @@ def gronwall_monitor(
     if calibrated_here:  # the smallest C with e(t) <= e(0) exp(C alpha^-2 int), over the times where e grew
         constant = max([alpha**2 * np.log(e[i] / e[0]) / accumulated[i] for i in range(1, len(e))
                         if e[i] > e[0] and accumulated[i] > 0], default=0.0)
-    envelope = e[0] * np.exp(constant * alpha**-2 * accumulated)
+    envelope = e[0] * np.exp(constant * inverse_square * accumulated)
     ratio = np.where(envelope > 0, e / envelope, 0.0)
     return EnergyReport(
         times=times,

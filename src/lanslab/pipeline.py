@@ -11,7 +11,8 @@ error; the acceptance line is a factor 10 over it.
 A fixed-point (Duhamel) gate runs before the production march: if the
 iteration fails to contract, the data/horizon pair is outside the small
 regime and the pipeline aborts with the contraction diagnostic instead of
-producing a meaningless comparison.
+producing a meaningless comparison.  A march that blows up aborts the run
+the same way, with its step index.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dynamics import (
     LansConfig,
     MildSolverConfig,
     PicardDivergenceError,
+    SolverBlowupError,
     _time_nodes,
     _weighted_sup,
     _weighted_trace,
@@ -36,6 +38,7 @@ from .littlewood_paley import BesovIndex, _partition_depth, build_partition
 from .monitor import (
     SplitConfig,
     SplitError,
+    _inverse_square,
     gronwall_monitor,
     higher_regularity_trace,
     split_with_report,
@@ -45,6 +48,7 @@ from .spectral import TorusGrid
 __all__ = ["PipelineConfig", "PipelineReport", "run_pipeline", "make_rough_data"]
 
 DISCREPANCY_FACTOR = 10.0
+GATE_CONTRACTION_TARGET = 0.5  # the largest Picard ratio the gate certifies
 
 # the PipelineConfig fields `lanslab pipeline` sets and its manifest hashes
 CLI_KEYS = ("n", "alpha", "nu", "p", "p_tilde", "q", "epsilon", "t_end", "steps", "seed", "data_scale")
@@ -74,14 +78,14 @@ class PipelineConfig:
     steps: int = 32
     seed: int = 0
     data_scale: float = 1e-2
-    gate_contraction_target: float = 0.5
 
     def __post_init__(self):
         if not self.p > 2.0:
             raise ValueError(f"base integrability must exceed 2, got p={self.p}")
-        for name in ("alpha", "data_scale"):  # the energy envelope exp(C alpha^-2 int ...) needs alpha > 0
+        for name in ("alpha", "data_scale"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        _inverse_square(self.alpha)  # the energy envelope exp(C alpha^-2 int ...) needs a finite alpha^-2
         if self.steps <= 0 or self.steps % 8 != 0:
             raise ValueError("steps must be a positive multiple of 8 so the gate grid nests")
         _time_nodes(self.t_end, self.dt)
@@ -148,6 +152,12 @@ def make_rough_data(grid, seed: int, scale: float, q: float = 2.0):
     return w0 * (scale / norm)
 
 
+def _aborted(reason: str, split: dict, picard: dict, config: dict) -> PipelineReport:
+    """The report of a run stopped by its split, its gate or a march: no comparison, NaN numbers."""
+    return PipelineReport(status="aborted", reason=reason, discrepancy=np.nan, self_error=np.nan,
+                          tolerance=np.nan, split=split, picard=picard, config=config)
+
+
 def run_pipeline(pcfg: PipelineConfig) -> PipelineReport:
     cfg, scfg = pcfg.configs()
     grid = cfg.grid
@@ -157,35 +167,26 @@ def run_pipeline(pcfg: PipelineConfig) -> PipelineReport:
     try:
         split = split_with_report(w0, scfg)
     except SplitError as err:
-        return PipelineReport(
-            status="aborted",
-            reason=f"split: {err}",
-            discrepancy=np.nan,
-            self_error=np.nan,
-            tolerance=np.nan,
-            split={"error": str(err), "achievable": err.achievable, "j_cut": err.j_cut},
-            picard={},
-            config=config_dump,
-        )
+        return _aborted(f"split: {err}", {"error": str(err), "achievable": err.achievable, "j_cut": err.j_cut},
+                        {}, config_dump)
     u0, v0 = split.low, split.tail
     split_info = {"j_cut": split.j_cut, "tail_norm": split.tail_norm,
                   "scanned": [[int(j), float(v)] for j, v in split.tail_norms_scanned]}
 
     dt = pcfg.dt
-    v_traj = solve_lans(v0, cfg, pcfg.t_end, dt)
-
     # contraction gate on the perturbation before committing to the march;
     # its 9 nodes are nodes of v_traj because steps is a multiple of 8
     mcfg = MildSolverConfig(
         t_end=pcfg.t_end,
         dt=pcfg.t_end / 8.0,
         weight_index=BesovIndex(1.5, 2.0, pcfg.q),
-        weight_a=0.0,
         picard_tol=1e-7,
         picard_max_iters=30,
-        contraction_target=pcfg.gate_contraction_target,
+        contraction_target=GATE_CONTRACTION_TARGET,
     )
+    picard_info: dict = {}
     try:
+        v_traj = solve_lans(v0, cfg, pcfg.t_end, dt)
         _, history = picard_iterate(u0, v_traj, cfg, mcfg)
         picard_info = {
             "converged": True,
@@ -193,34 +194,28 @@ def run_pipeline(pcfg: PipelineConfig) -> PipelineReport:
             "final_delta": history[-1].delta_norm,
             "ratios": [h.ratio for h in history if h.ratio is not None],
         }
+
+        u_traj = solve_mlans(u0, v_traj, cfg, pcfg.t_end, dt)
+        w_traj = solve_lans(w0, cfg, pcfg.t_end, dt)
+
+        idx = BesovIndex(3.0 / pcfg.p, pcfg.p, pcfg.q)
+        _, disc_trace = _weighted_trace([u_traj, v_traj], [w_traj], 0.0, idx)
+        discrepancy = float(np.max(disc_trace))
+
+        # self-convergence at dt/2 for both sides of the comparison
+        w_half = solve_lans(w0, cfg, pcfg.t_end, dt / 2.0)
+        err_w = _weighted_sup([w_traj], [w_half], 0.0, idx, step=2)
+        del w_half
+        v_half = solve_lans(v0, cfg, pcfg.t_end, dt / 2.0)
+        u_half = solve_mlans(u0, v_half, cfg, pcfg.t_end, dt / 2.0)
+        err_uv = _weighted_sup([u_traj, v_traj], [u_half, v_half], 0.0, idx, step=2)
+        del u_half, v_half
     except PicardDivergenceError as err:
-        return PipelineReport(
-            status="aborted",
-            reason=f"contraction gate: {err}",
-            discrepancy=np.nan,
-            self_error=np.nan,
-            tolerance=np.nan,
-            split=split_info,
-            picard={"converged": False, "last_ratio": err.last_ratio,
-                    "iterations": len(err.history)},
-            config=config_dump,
-        )
-
-    u_traj = solve_mlans(u0, v_traj, cfg, pcfg.t_end, dt)
-    w_traj = solve_lans(w0, cfg, pcfg.t_end, dt)
-
-    idx = BesovIndex(3.0 / pcfg.p, pcfg.p, pcfg.q)
-    _, disc_trace = _weighted_trace([u_traj, v_traj], [w_traj], 0.0, idx)
-    discrepancy = float(np.max(disc_trace))
-
-    # self-convergence at dt/2 for both sides of the comparison
-    w_half = solve_lans(w0, cfg, pcfg.t_end, dt / 2.0)
-    err_w = _weighted_sup([w_traj], [w_half], 0.0, idx, step=2)
-    del w_half
-    v_half = solve_lans(v0, cfg, pcfg.t_end, dt / 2.0)
-    u_half = solve_mlans(u0, v_half, cfg, pcfg.t_end, dt / 2.0)
-    err_uv = _weighted_sup([u_traj, v_traj], [u_half, v_half], 0.0, idx, step=2)
-    del u_half, v_half
+        return _aborted(f"contraction gate: {err}", split_info,
+                        {"converged": False, "last_ratio": err.last_ratio, "iterations": len(err.history)},
+                        config_dump)
+    except SolverBlowupError as err:
+        return _aborted(f"solver: {err}", split_info, picard_info, config_dump)
     self_error = max(err_w, err_uv)
 
     tolerance = DISCREPANCY_FACTOR * self_error + 1e-14 * pcfg.data_scale

@@ -40,7 +40,7 @@ from lanslab import (
     verify_heat_smoothing,
     verify_product_estimate,
 )
-from lanslab.dynamics import _weighted_distance
+from lanslab.dynamics import _weighted_sup
 
 
 def emit(num, name, ok, detail):
@@ -182,8 +182,7 @@ def test_criterion_08_small_data_contraction():
     cfg = LansConfig(grid=grid, alpha=0.1, nu=1e-3)
     mcfg = MildSolverConfig(
         t_end=0.05, dt=0.05 / 8.0,
-        weight_index=BesovIndex(2.5, 2.0, 2.0), weight_a=0.5,
-        enforce_weight_relation=True,
+        weight_index=BesovIndex(2.5, 2.0, 2.0),  # the weight (s - 3/2)/2 is 1/2
         picard_tol=1e-9, picard_max_iters=40, contraction_target=0.01,
     )
     rng = as_rng(0)
@@ -194,7 +193,7 @@ def test_criterion_08_small_data_contraction():
     u0 = base * (1e-2 / small_norm)
     traj, hist = picard_iterate(u0, None, cfg, mcfg)
     ratios = [h.ratio for h in hist if h.ratio is not None]
-    residual = _weighted_distance(duhamel_map(traj, u0, cfg, mcfg, None), traj, mcfg)
+    residual = _weighted_sup([duhamel_map(traj, u0, cfg, mcfg, None)], [traj], 0.5, mcfg.weight_index)
 
     with pytest.raises(PicardDivergenceError) as err:
         picard_iterate(u0 * 100.0, None, cfg, mcfg)

@@ -233,6 +233,27 @@ class TestPipeline:
         assert doc["status"] == "aborted"
         assert doc["reason"].startswith("split:")
 
+    def test_contraction_gate_abort(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["pipeline", "--n", "16", "--steps", "8", "--data-scale", "400", "--epsilon", "1e4",
+                   "--out", str(out)])
+        assert rc == 1
+        doc = read_report(out / "pipeline.json")
+        assert doc["status"] == "aborted"
+        assert doc["reason"].startswith("contraction gate:")
+        assert not (out / "discrepancy.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solver_blowup_aborts(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["pipeline", "--n", "16", "--steps", "8", "--data-scale", "1e5", "--epsilon", "1e9",
+                   "--out", str(out)])
+        assert rc == 1
+        doc = read_report(out / "pipeline.json")
+        assert doc["status"] == "aborted"
+        assert doc["reason"].startswith("solver: non-finite state at step")
+        assert "pipeline status: aborted (solver:" in capsys.readouterr().out
+
     def test_alpha_zero_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch):
         # the energy envelope needs alpha > 0: a usage error, not a traceback after the whole run
         def run(pcfg):
@@ -298,6 +319,8 @@ BAD_VALUES = [
     ["solve", "--n", "16", "--dt", "5e-324"],
     ["pipeline", "--alpha", "nan"],
     ["pipeline", "--alpha", "0"],
+    # alpha^-2 of the energy envelope overflows a double
+    ["pipeline", "--n", "16", "--steps", "8", "--alpha", "1e-200"],
     ["pipeline", "--epsilon", "nan"],
     ["pipeline", "--q", "nan"],
     ["pipeline", "--data-scale", "nan"],

@@ -8,6 +8,7 @@ perturbation forms is checked by three independent evaluations.
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,6 @@ from lanslab import (
     sobolev_norm,
     solve_lans,
     solve_mlans,
-    weighted_norm,
 )
 from lanslab import dynamics
 from lanslab.dynamics import (
@@ -55,7 +55,7 @@ from lanslab.dynamics import (
     _nonlinear_terms,
     _phi_factors,
     _stress_multiplier,
-    _weighted_distance,
+    _weighted_sup,
 )
 from lanslab.spectral import _complete, _cut_half, _rfft
 from lanslab.monitor import energy_pair
@@ -580,9 +580,10 @@ class TestBeltramiOracle:
         cfg = LansConfig(grid=grid, alpha=alpha, nu=1.0)
         u0 = abc_field(grid, K)
         traj = solve_lans(u0, cfg, 0.08, 0.01)
-        ref = heat_propagate(u0, 0.08, cfg.nu)
         assert len(traj) == 9
-        assert l2_norm(traj.final - ref) <= 1e-13 * l2_norm(ref)
+        for t, state in zip(traj.times, traj):
+            ref = heat_propagate(u0, t, cfg.nu)
+            assert l2_norm(state - ref) <= 1e-13 * l2_norm(ref)
 
 
 class TestHeatPropagator:
@@ -647,13 +648,6 @@ def tail_distance(rerun, traj, i):
 
 
 class TestMarcher:
-    def test_nonlinearity_off_equals_heat_flow(self, cfg16, grid16_mod):
-        u0 = band_field(grid16_mod, 0)
-        traj = solve_lans(u0, cfg16, 0.1, 0.0125, nonlinear=False)
-        for t, state in zip(traj.times, traj):
-            ref = heat_propagate(u0, t, cfg16.nu)
-            assert l2_norm(state - ref) <= 1e-13 * max(l2_norm(ref), 1e-300)
-
     def test_second_order_convergence(self, cfg16, grid16_mod):
         u0 = band_field(grid16_mod, 0, scale=5.0)
         T = 0.02
@@ -708,7 +702,7 @@ class TestMarcher:
     def test_data_on_other_grid_rejected(self, cfg16):
         other = TorusGrid(dim=3, points_per_axis=16, box_length=1.0)
         with pytest.raises(GridMismatchError):
-            solve_lans(zero_field(other), cfg16, 0.01, 0.0025, nonlinear=False)
+            solve_lans(zero_field(other), cfg16, 0.01, 0.0025)
 
     def test_dt_must_divide_horizon(self, cfg16, grid16_mod):
         with pytest.raises(ValueError):
@@ -727,24 +721,26 @@ class TestMarcher:
         assert l2_norm(recombined - w_traj.final) <= 1e-8 * l2_norm(w_traj.final)
 
 
-def lattice_march(u0, cfg, t_end, dt, v_traj=None, nonlinear=True):
+def nodes_at(traj, times):
+    """traj's nodes at times, completed to the lattice; Nones for no trajectory."""
+    return [None] * len(times) if traj is None else [traj[traj.node_index(t)] for t in times]
+
+
+def lattice_march(u0, cfg, t_end, dt, v_traj=None):
     """The marcher on the full lattice, one public primitive at a time: the
     exponential-integrator update of every state, then its dealias and
     Leray projection.  Returns the stacked states."""
     grid = cfg.grid
     e_dt, phi1, phi2 = _phi_factors(-cfg.nu * dt * grid.k_squared)
     times = dt * np.arange(int(round(t_end / dt)) + 1)
-    v = [None] * len(times) if v_traj is None else [v_traj.state_at(t) for t in times]
+    v = nodes_at(v_traj, times)
     states = [leray_project(dealias(u0)).coeffs]
     for i in range(len(times) - 1):
         u = states[-1]
-        if nonlinear:
-            n_u = nonlinear_rhs(SpectralField(grid, u), cfg, v[i]).coeffs
-            stage = e_dt * u + dt * phi1 * n_u
-            n_stage = nonlinear_rhs(SpectralField(grid, stage), cfg, v[i + 1]).coeffs
-            nxt = stage + dt * phi2 * (n_stage - n_u)
-        else:
-            nxt = e_dt * u
+        n_u = nonlinear_rhs(SpectralField(grid, u), cfg, v[i]).coeffs
+        stage = e_dt * u + dt * phi1 * n_u
+        n_stage = nonlinear_rhs(SpectralField(grid, stage), cfg, v[i + 1]).coeffs
+        nxt = stage + dt * phi2 * (n_stage - n_u)
         states.append(leray_project(dealias(SpectralField(grid, nxt))).coeffs)
     return np.stack(states)
 
@@ -755,7 +751,7 @@ def lattice_duhamel(traj, u0, cfg, v_traj=None):
     times, grid = traj.times, cfg.grid
     dt = float(times[1] - times[0])
     step = np.exp(-cfg.nu * dt * grid.k_squared)
-    n = [nonlinear_rhs(u, cfg, None if v_traj is None else v_traj.state_at(t)).coeffs for t, u in zip(times, traj)]
+    n = [nonlinear_rhs(u, cfg, v).coeffs for u, v in zip(traj, nodes_at(v_traj, times))]
     if times[0] > 0:
         heat = heat_propagate(u0, times[0], cfg.nu).coeffs
         states = [heat]
@@ -802,13 +798,6 @@ class TestLatticeOracle:
         cfg = LansConfig(grid=grid, alpha=alpha, nu=0.05)
         for u0 in (band_field(grid, 70, k_max=5.0, scale=2.0), projected_noise(grid, 71)):
             assert_same_trajectory(solve_lans(u0, cfg, 0.04, 0.01), lattice_march(u0, cfg, 0.04, 0.01))
-
-    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
-    def test_solve_lans_without_nonlinearity(self, grid):
-        cfg = LansConfig(grid=grid, alpha=0.3, nu=0.05)
-        u0 = band_field(grid, 72, k_max=3.0)
-        got = solve_lans(u0, cfg, 0.04, 0.01, nonlinear=False)
-        assert_same_trajectory(got, lattice_march(u0, cfg, 0.04, 0.01, nonlinear=False))
 
     @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["16^3", "32^2"])
     @pytest.mark.parametrize("background", ["march", "outside_cube"])
@@ -920,6 +909,15 @@ class TestPhiFactors:
             for got, want in zip((e[i], phi1[i], phi2[i]), ref):
                 assert abs(got - want) <= 1e-14 * abs(want), (zi, got, want)
 
+    @pytest.mark.parametrize("z", [-1e-320, -5e-324])
+    def test_subnormal_arguments_warn_nothing(self, z):
+        # z^2 underflows to 0 there; the closed form of phi2 is not evaluated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e, phi1, phi2 = _phi_factors(np.array([z, -2.0]))
+        assert (e[0], phi1[0], phi2[0]) == (1.0, 1.0, 0.5)
+        assert phi2[1] == (np.expm1(-2.0) + 2.0) / 4.0
+
 
 class TestWeightedNorms:
     def test_constant_state_oracle(self, cfg16, grid16_mod, part16_mod):
@@ -929,15 +927,16 @@ class TestWeightedNorms:
         traj = Trajectory(times, [c.copy() for _ in times])
         idx = BesovIndex(2.5, 2.0, 2.0)
         b = part16_mod.besov_norm(c, idx)
-        got = weighted_norm(traj, 0.5, idx)
+        got = _weighted_sup([traj], [], 0.5, idx)
         assert got == pytest.approx(0.2**0.5 * b, rel=1e-12)
 
     def test_a_zero_is_plain_sup(self, cfg16, grid16_mod, part16_mod):
         u0 = band_field(grid16_mod, 1)
-        traj = solve_lans(u0, cfg16, 0.05, 0.00625, nonlinear=False)
+        times = 0.00625 * np.arange(9)
+        traj = Trajectory(times, [heat_propagate(u0, t, cfg16.nu) for t in times])
         idx = BesovIndex(1.5, 2.0, 2.0)
         sup = max(part16_mod.besov_norm(s, idx) for s in traj)
-        assert weighted_norm(traj, 0.0, idx) == pytest.approx(sup, rel=1e-12)
+        assert _weighted_sup([traj], [], 0.0, idx) == pytest.approx(sup, rel=1e-12)
 
     @pytest.mark.parametrize("p", [2.0, 6.0])
     def test_traces_read_the_stored_half_cubes(self, cfg16, grid16_mod, part16_mod, p):
@@ -949,9 +948,8 @@ class TestWeightedNorms:
         noise = projected_noise(grid16_mod, 4, scale=1e-3)
         lattice = Trajectory(march.times, [s + noise for s in march])
         nodes = list(zip(march.times, march, lattice))
-        assert weighted_norm(march, 0.5, idx) == max(t**0.5 * part16_mod.besov_norm(a, idx) for t, a, _ in nodes[1:])
-        mcfg = MildSolverConfig(t_end=0.01, dt=0.0025, weight_index=idx)
-        assert _weighted_distance(march, lattice, mcfg) == max(part16_mod.besov_norm(a - b, idx) for _, a, b in nodes)
+        assert _weighted_sup([march], [], 0.5, idx) == max(t**0.5 * part16_mod.besov_norm(a, idx) for t, a, _ in nodes[1:])
+        assert _weighted_sup([march], [lattice], 0.0, idx) == max(part16_mod.besov_norm(a - b, idx) for _, a, b in nodes)
 
     def test_heat_flow_vanishes_at_origin(self, cfg16, grid16_mod, part16_mod):
         # t^a ||e^(t Lap) u0||_(B^s) -> 0 as t -> 0 for band-limited data
@@ -1035,7 +1033,7 @@ class TestPicard:
         mcfg = self.make_mcfg()
         traj, _ = picard_iterate(u0, None, cfg16, mcfg)
         image = duhamel_map(traj, u0, cfg16, mcfg, None)
-        resid = _weighted_distance(image, traj, mcfg)
+        resid = _weighted_sup([image], [traj], 0.0, mcfg.weight_index)
         assert resid < mcfg.picard_tol
 
     def test_agrees_with_marcher(self, cfg16, grid16_mod, part16_mod):
@@ -1046,7 +1044,7 @@ class TestPicard:
         traj, _ = picard_iterate(u0, None, cfg16, mcfg)
         march = solve_lans(u0, cfg16, mcfg.t_end, mcfg.dt / 8.0)
         worst = max(
-            part16_mod.besov_norm(traj.state_at(t) - march.state_at(t), idx)
+            part16_mod.besov_norm(traj[traj.node_index(t)] - march[march.node_index(t)], idx)
             for t in traj.times
         )
         assert worst <= 10.0 * mcfg.picard_tol
@@ -1088,14 +1086,30 @@ class TestPicard:
             picard_iterate(u0, None, cfg16, mcfg)
         assert "1 iteration" in str(err.value)
 
-    def test_weight_relation_enforced(self, cfg16, grid16_mod):
-        mcfg = self.make_mcfg(
-            weight_index=BesovIndex(2.5, 2.0, 2.0),
-            weight_a=0.3,  # correct value for s = 2.5, n = 3 is 0.5
-            enforce_weight_relation=True,
-        )
-        with pytest.raises(ValueError):
+    def test_index_below_half_the_dimension_rejected(self, cfg16, grid16_mod, monkeypatch):
+        # the weight (s - n/2)/2 would be negative; raised before any work
+        def no_work(*args):
+            raise AssertionError("the Duhamel map ran")
+
+        monkeypatch.setattr(dynamics, "duhamel_map", no_work)
+        mcfg = self.make_mcfg(weight_index=BesovIndex(1.0, 2.0, 2.0))
+        with pytest.raises(ValueError, match=r"needs s >= n/2, got s = 1\.0, n = 3"):
             picard_iterate(band_field(grid16_mod, 6), None, cfg16, mcfg)
+
+    def test_weight_follows_from_the_index(self, cfg16, grid16_mod):
+        # at s = 5/2 in 3-D the first distance is the sup of t^(1/2) times the
+        # B^(5/2) norm between the heat flow and its Duhamel image
+        idx = BesovIndex(2.5, 2.0, 2.0)
+        u0 = band_field(grid16_mod, 6, scale=0.1)
+        mcfg = self.make_mcfg(weight_index=idx, picard_max_iters=1, picard_tol=1e-300)
+        with pytest.raises(PicardDivergenceError) as err:
+            picard_iterate(u0, None, cfg16, mcfg)
+        times = mcfg.time_nodes()
+        heat = Trajectory(times, [heat_propagate(u0, t, cfg16.nu) for t in times])
+        image = duhamel_map(heat, u0, cfg16, mcfg)
+        delta = err.value.history[0].delta_norm
+        assert delta == pytest.approx(_weighted_sup([image], [heat], 0.5, idx), rel=1e-10)
+        assert delta != pytest.approx(_weighted_sup([image], [heat], 0.0, idx), rel=1e-2)
 
 
 class TestConfigValidation:

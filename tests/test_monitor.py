@@ -214,6 +214,13 @@ class TestGronwallEnvelope:
         with pytest.raises(ValueError):
             gronwall_monitor(traj, None, 0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-200, 7.4e-155])
+    def test_alpha_minus_two_must_be_finite(self, traj16, alpha):
+        # alpha^-2 overflows a double below about 7.5e-155: a ValueError
+        # naming alpha, not an OverflowError after the energies are summed
+        with pytest.raises(ValueError, match=f"alpha = {alpha}"):
+            gronwall_monitor(traj16, traj16, alpha)
+
 
 class TestH2Terms:
     def test_concentration_slopes_below_bounds(self):

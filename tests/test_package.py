@@ -71,8 +71,41 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
     return any(kw.arg == name for kw in call.keywords) or (position is not None and len(call.args) > position)
 
 
+def _defaulted(fn: ast.FunctionDef, skip: int) -> list:
+    """(position a call passes it at, or None for keyword-only; name) of each
+    parameter of fn with a default, the first skip parameters not passed."""
+    positional = (fn.args.posonlyargs + fn.args.args)[skip:]
+    found = [(i, arg.arg) for i, arg in enumerate(positional) if i >= len(positional) - len(fn.args.defaults)]
+    return found + [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                    if default is not None]
+
+
+def _settings(tree) -> list:
+    """(name a call uses, name to report, defaulted parameters) of each
+    top-level function, each method (self or cls is not passed, __init__ is
+    called by its class name) and each dataclass (its fields are its
+    constructor's parameters, in order)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, node.name, _defaulted(node, 0)))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if "dataclass" in {ast.unparse(getattr(d, "func", d)) for d in node.decorator_list}:
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            found.append((node.name, node.name,
+                          [(i, item.target.id) for i, item in enumerate(fields) if item.value is not None]))
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef):
+                skip = 0 if "staticmethod" in {ast.unparse(d) for d in fn.decorator_list} else 1
+                called = node.name if fn.name == "__init__" else fn.name
+                found.append((called, f"{node.name}.{fn.name}", _defaulted(fn, skip)))
+    return found
+
+
 def test_every_default_is_set_by_some_caller():
-    # a default that no call overrides is a constant dressed as an option
+    # a default that no call overrides is a constant dressed as an option:
+    # function and method parameters and dataclass fields alike
     package = Path(lanslab.__file__).parent
     sources = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     calls = {}
@@ -81,18 +114,13 @@ def test_every_default_is_set_by_some_caller():
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(name, []).append(node)
-    unset = []
+    unset, checked = [], 0
     for path in sorted(package.glob("*.py")):
-        for fn in ast.parse(path.read_text()).body:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            positional = fn.args.posonlyargs + fn.args.args
-            defaulted = [(i, arg.arg) for i, arg in enumerate(positional)
-                         if i >= len(positional) - len(fn.args.defaults)]
-            defaulted += [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                          if default is not None]
-            unset += [f"{path.stem}.{fn.name}({name}=)" for position, name in defaulted
-                      if not any(_passes(call, position, name) for call in calls.get(fn.name, []))]
+        for called, label, defaulted in _settings(ast.parse(path.read_text())):
+            checked += len(defaulted)
+            unset += [f"{path.stem}.{label}({name}=)" for position, name in defaulted
+                      if not any(_passes(call, position, name) for call in calls.get(called, []))]
+    assert checked > 0
     assert unset == []
 
 

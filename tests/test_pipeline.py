@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lanslab import PipelineConfig, run_pipeline
+from lanslab.pipeline import GATE_CONTRACTION_TARGET
 
 
 @pytest.fixture(scope="module")
@@ -72,19 +73,26 @@ class TestAbortPaths:
     def test_oversized_data_fails_contraction_gate(self):
         # relax the tail target so the run survives the split, then let the
         # gate certificate catch the out-of-regime data
-        pcfg = PipelineConfig(n=16, data_scale=1.0, epsilon=0.1,
-                              gate_contraction_target=2e-4)
-        rep = run_pipeline(pcfg)
+        rep = run_pipeline(PipelineConfig(n=16, steps=8, data_scale=400.0, epsilon=1e4))
         assert rep.status == "aborted"
         assert rep.reason.startswith("contraction gate:")
         assert not rep.picard["converged"]
-        assert rep.picard["last_ratio"] > 2e-4
-        assert rep.split["tail_norm"] < 0.1
+        assert rep.picard["last_ratio"] > GATE_CONTRACTION_TARGET
+        assert rep.split["tail_norm"] < 1e4
 
     def test_small_data_passes_same_gate(self):
         # identical gate threshold: only the data size separates the runs
-        pcfg = PipelineConfig(n=16, epsilon=0.1, gate_contraction_target=2e-4)
-        assert run_pipeline(pcfg).passed
+        assert run_pipeline(PipelineConfig(n=16, steps=8, data_scale=0.01, epsilon=1e4)).passed
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_background_blowup_aborts(self):
+        # the v solve goes non-finite at step 5: an aborted report, not a traceback
+        rep = run_pipeline(PipelineConfig(n=16, steps=8, data_scale=1e5, epsilon=1e9))
+        assert rep.status == "aborted"
+        assert rep.reason == "solver: non-finite state at step 5, t = 0.03125"
+        assert rep.picard == {}
+        assert np.isnan(rep.discrepancy) and rep.times is None
+        assert rep.split["j_cut"] >= 1
 
 
 class TestConfigGuards:
@@ -95,6 +103,13 @@ class TestConfigGuards:
     def test_integrability_floor(self):
         with pytest.raises(ValueError, match="exceed 2"):
             PipelineConfig(p=2.0)
+
+    @pytest.mark.parametrize("alpha", [1e-200, 7.4e-155])
+    def test_alpha_minus_two_must_be_finite(self, alpha):
+        # the energy envelope's alpha^-2 overflows a double: rejected before any work
+        with pytest.raises(ValueError, match=f"alpha = {alpha}"):
+            PipelineConfig(alpha=alpha)
+        assert PipelineConfig(alpha=7.5e-155).alpha == 7.5e-155
 
     def test_dt_property(self):
         assert PipelineConfig(t_end=0.05, steps=32).dt == pytest.approx(0.0015625)
