@@ -106,7 +106,8 @@ class ParaproductPieces:
 
 
 class DyadicPartition:
-    """Sampled dyadic partition of unity on a grid's frequency lattice.
+    """Sampled dyadic partition of unity on a grid's frequency lattice, with
+    the largest depth J = j_max satisfying 2^(J+1) <= K_max (_partition_depth).
 
     Each profile is stored on the half cube of its tight band: bands[j] is
     the smallest K_j with psi_j zero outside |m_i| <= K_j, and cubes[j]
@@ -119,15 +120,9 @@ class DyadicPartition:
     because build_partition shares one instance among all callers on a grid.
     """
 
-    def __init__(self, grid: TorusGrid, j_max: int):
-        if j_max < 1:
-            raise ValueError("j_max must be at least 1")
-        if 2.0 ** (j_max + 1) > grid.k_max * (1 + 1e-12):
-            raise ValueError(
-                f"j_max={j_max} too large: top shell needs 2^(j_max+1) <= K_max = {grid.k_max:.3f}"
-            )
+    def __init__(self, grid: TorusGrid):
         self.grid = grid
-        self.j_max = j_max
+        self.j_max = j_max = _partition_depth(grid)
         # |k| at the axis modes (m, 0, ..., 0), formed as on the lattice
         axis = np.sqrt((np.arange(grid.points_per_axis // 2) * grid.wavenumber_scale) ** 2)
         self.bands, self.cubes = [], []
@@ -209,22 +204,16 @@ class DyadicPartition:
                 out[j] = _lp_quadrature(samples, half.ndim - self.grid.dim, self.grid, p)
         return out
 
-    def besov_norm(self, f: SpectralField, index: BesovIndex, homogeneous: bool = False) -> float:
-        """l^q sum over blocks of 2^(j*s) ||Delta_j f||_p.
-
-        homogeneous=True skips block 0, matching homogeneous-space
-        comparisons on mean-zero data.
-        """
+    def besov_norm(self, f: SpectralField, index: BesovIndex) -> float:
+        """l^q sum over blocks j = 0..j_max of 2^(j*s) ||Delta_j f||_p."""
         self._check_grid(f)
-        return self._half_besov(f.coeffs, index, 1 if homogeneous else 0)
+        return self._half_besov(f.coeffs, index)
 
-    def _half_besov(self, half: np.ndarray, index: BesovIndex, j0: int) -> float:
-        """besov_norm from block j0 on, of the field whose half cube half holds."""
-        norms = self._half_norms(half, index.p)
-        js = np.arange(j0, self.j_max + 1)
-        terms = 2.0 ** (js * index.s) * norms[j0:]
+    def _half_besov(self, half: np.ndarray, index: BesovIndex) -> float:
+        """besov_norm of the field whose half cube half holds."""
+        terms = 2.0 ** (np.arange(self.j_max + 1) * index.s) * self._half_norms(half, index.p)
         if index.q == np.inf:
-            return float(np.max(terms)) if terms.size else 0.0
+            return float(np.max(terms))
         return float(np.sum(terms**index.q) ** (1.0 / index.q))
 
     def paraproduct_split(self, f: SpectralField, g: SpectralField) -> ParaproductPieces:
@@ -271,18 +260,16 @@ def _default_j_max(grid: TorusGrid) -> int:
 
 @lru_cache(maxsize=4)
 def build_partition(grid: TorusGrid) -> DyadicPartition:
-    """The grid's partition, with the largest J satisfying 2^(J+1) <= K_max.
-
-    It is built once per grid: equal grids get the same shared, read-only
-    instance.  The cache keeps the 4 most recently used grids; a 128^3
-    partition holds 1.1 MB of half cubes (84 MB once its dense multipliers
-    are read).
+    """The grid's partition, built once per grid: equal grids get the same
+    shared, read-only instance.  The cache keeps the 4 most recently used
+    grids; a 128^3 partition holds 1.1 MB of half cubes (84 MB once its
+    dense multipliers are read).
     """
-    return DyadicPartition(grid, _partition_depth(grid))
+    return DyadicPartition(grid)
 
 
 def _partition_depth(grid: TorusGrid) -> int:
-    """build_partition's J; ValueError when the grid is too coarse for J >= 1."""
+    """DyadicPartition's J; ValueError when the grid is too coarse for J >= 1."""
     j_max = _default_j_max(grid)
     if j_max < 1:
         raise ValueError(

@@ -287,7 +287,6 @@ class SplitConfig:
     p: float
     p_tilde: float
     epsilon: float
-    j_cut: int = 1
     q: float = 2.0
 
     def __post_init__(self):
@@ -295,8 +294,6 @@ class SplitConfig:
             raise ValueError(f"need p_tilde > p > 2, got p={self.p}, p_tilde={self.p_tilde}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.j_cut < 0:
-            raise ValueError("j_cut must be nonnegative")
 
     @property
     def theta(self) -> float:
@@ -317,15 +314,12 @@ class SplitResult:
 
 def split_with_report(w0: SpectralField, scfg: SplitConfig) -> SplitResult:
     """Split w0 = low + tail with a smooth dyadic low-pass at level j_cut,
-    raising j_cut until the tail is smaller than epsilon in the
-    large-integrability space.  The split is coefficient-exact; a j_cut
-    above the partition's top level j_max is a ValueError."""
+    raising j_cut from 1 until the tail is smaller than epsilon in the
+    large-integrability space.  The split is coefficient-exact."""
     part = build_partition(w0.grid)
-    if scfg.j_cut > part.j_max:
-        raise ValueError(f"j_cut={scfg.j_cut} is above the partition's top level j_max={part.j_max}")
     idx = BesovIndex(3.0 / scfg.p_tilde, scfg.p_tilde, scfg.q)
     scanned = []
-    for j in range(scfg.j_cut, part.j_max + 1):
+    for j in range(1, part.j_max + 1):
         low = part.s_j(w0, j)
         tail = w0 - low
         tail_norm = part.besov_norm(tail, idx)

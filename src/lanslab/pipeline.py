@@ -161,7 +161,7 @@ def _aborted(reason: str, split: dict, picard: dict, config: dict) -> PipelineRe
 def run_pipeline(pcfg: PipelineConfig) -> PipelineReport:
     cfg, scfg = pcfg.configs()
     grid = cfg.grid
-    config_dump = {**{k: getattr(pcfg, k) for k in CLI_KEYS}, "dim": grid.dim, "j_cut": scfg.j_cut}
+    config_dump = {**{k: getattr(pcfg, k) for k in CLI_KEYS}, "dim": grid.dim, "j_cut": 1}  # the split scans from level 1
     w0 = make_rough_data(grid, pcfg.seed, pcfg.data_scale, pcfg.q)
 
     try:

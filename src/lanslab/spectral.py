@@ -27,8 +27,9 @@ The dyadic partition's profiles, the Besov block norms, the verifiers'
 products, the field ensembles, heat_propagate and the nonlinearity kernel
 use the band mode; the kernel's, heat_propagate's and the ensembles'
 multipliers act on arrays built once per band (_HalfCube), and
-_half_k_squared gives |k|^2 there afresh.  _half_parseval sums |c|^2 over a
-half cube or half lattice for the Besov p = 2 blocks and monitor._energy_pair.
+_half_k_squared gives |k|^2 there afresh.  Every L^2 norm, inner product
+and Besov p = 2 block sums over a half cube or half lattice through
+_half_parseval, the one spectral sum; _lp_quadrature is the one physical one.
 
 Nyquist policy: on the full lattice the index N/2 of an axis is the
 frequency -N/2, whose mirror image is itself, so the odd multiplier i k
@@ -584,10 +585,14 @@ def gradient(field: SpectralField) -> SpectralField:
 def divergence(field: SpectralField) -> SpectralField:
     """Contract the last lead axis with d/dx_j (vector -> scalar,
     tensor -> vector with (div T)_i = sum_j d_j T[i, j])."""
-    if field.rank < 1:
+    return SpectralField(field.grid, _divergence(field.coeffs, field.rank, field.grid.wavenumbers))
+
+
+def _divergence(coeffs: np.ndarray, rank: int, wavenumbers: list) -> np.ndarray:
+    """divergence of the rank-`rank` field whose lattice or half lattice coeffs holds, given its wavenumbers."""
+    if rank < 1:
         raise ValueError("divergence needs a vector or tensor field")
-    columns = np.moveaxis(field.coeffs, field.rank - 1, 0)  # columns[j] = field[..., j]
-    return SpectralField(field.grid, _contract(columns, field.grid.wavenumbers))
+    return _contract(np.moveaxis(coeffs, rank - 1, 0), wavenumbers)  # columns[j] = field[..., j]
 
 
 def _contract(columns, wavenumbers: list) -> np.ndarray:
@@ -601,7 +606,6 @@ def laplacian_power(field: SpectralField, beta: float) -> SpectralField:
 
     beta < 0 requires a zero mean mode; the mean stays zero afterwards.
     """
-    g = field.grid
     if beta == 0:
         return field.copy()
     if beta < 0:
@@ -609,14 +613,17 @@ def laplacian_power(field: SpectralField, beta: float) -> SpectralField:
         scale = np.max(np.abs(field.coeffs)) or 1.0
         if np.max(np.abs(mean)) > 1e-13 * scale:
             raise SingularModeError("negative power of |k| requires a mean-zero field")
-        ksq = g.k_squared.copy()
-        zero = (0,) * g.dim
-        ksq[zero] = 1.0  # mean mode is zero anyway, avoid 0**negative
-        mult = ksq ** (beta / 2.0)
-        mult[zero] = 0.0
-    else:
-        mult = g.k_squared ** (beta / 2.0)
-    return _apply_multiplier(field, mult)
+    return _apply_multiplier(field, _k_power(field.grid.k_squared, beta))
+
+
+def _k_power(ksq: np.ndarray, s: float) -> np.ndarray:
+    """The homogeneous multiplier |k|^s on a lattice or half-lattice table ksq of |k|^2, 0 at k = 0 for every s."""
+    zero = (0,) * ksq.ndim
+    ksq = ksq.copy()
+    ksq[zero] = 1.0  # avoids 0**negative
+    mult = ksq ** (s / 2.0)
+    mult[zero] = 0.0
+    return mult
 
 
 def helmholtz_inverse(field: SpectralField, alpha: float) -> SpectralField:
@@ -629,20 +636,20 @@ def helmholtz_inverse(field: SpectralField, alpha: float) -> SpectralField:
     return _apply_multiplier(field, mult)
 
 
-def heat_propagate(f: SpectralField, t: float, nu: float = 1.0) -> SpectralField:
-    """Exact heat semigroup exp(nu t Lap) as a diagonal multiplier; finite t >= 0 and nu >= 0.
+def heat_propagate(f: SpectralField, t: float) -> SpectralField:
+    """Exact heat semigroup exp(t Lap) as a diagonal multiplier, finite t >= 0; viscosity nu enters as t = nu * time.
 
     The multiplier is formed and applied on the dealias half cube when f
     lies in it (_data_band), else on the half lattice, and the result is
     completed from there: for Hermitian f it equals the lattice multiply.
     """
-    if not (np.isfinite(t) and np.isfinite(nu) and nu >= 0):
-        raise ValueError(f"heat propagation needs a finite t and a finite nu >= 0, got t={t}, nu={nu}")
+    if not np.isfinite(t):
+        raise ValueError(f"heat propagation needs a finite t, got t={t}")
     if t < 0:
         raise ValueError(f"heat propagation needs t >= 0, got {t}")
     grid = f.grid
     band = _data_band(grid, f.coeffs)
-    half = _cut_half(f.coeffs, grid, band) * np.exp(-nu * t * _half_cube(grid, band).k_squared)
+    half = _cut_half(f.coeffs, grid, band) * np.exp(-t * _half_cube(grid, band).k_squared)
     return SpectralField(grid, _complete(half, grid, band))
 
 
@@ -718,55 +725,55 @@ def _integer_power(base: np.ndarray, k: int) -> np.ndarray:
 
 
 def l2_norm(field: SpectralField) -> float:
-    """L^2 norm through Parseval; equals lp_norm(field, 2) to roundoff."""
-    total = np.sum(np.abs(field.coeffs) ** 2)
-    return float(np.sqrt(total * field.grid.box_length**field.grid.dim))
+    """L^2 norm through Parseval over the half lattice (_half_parseval); equals lp_norm(field, 2) to roundoff."""
+    return float(np.sqrt(_half_parseval(_half(field.coeffs, field.grid), field.grid)))
 
 
-def _half_parseval(half: np.ndarray, grid: TorusGrid, weight=1.0):
-    """L^n sum of weight |c|^2 (summed over lead axes) over the lattice of the field whose half cube or half lattice
-    half holds, weight even and given there: m_last = 0 and the half lattice's N/2 count once, other planes twice."""
-    mags = weight * (np.abs(half) ** 2).reshape((-1,) + half.shape[-grid.dim :]).sum(axis=0)
+def _half_parseval(half: np.ndarray, grid: TorusGrid, weight=1.0, other: np.ndarray | None = None):
+    """L^n sum of weight |c|^2, or of weight Re(c conj d) with d held by other, summed over lead axes, over the
+    lattice of the fields whose half cube or half lattice half (and other) holds, weight even and given there:
+    m_last = 0 and the half lattice's N/2 count once, other planes twice.  The package's one spectral sum."""
+    terms = np.abs(half) ** 2 if other is None else (half * np.conj(other)).real
+    mags = weight * terms.reshape((-1,) + half.shape[-grid.dim :]).sum(axis=0)
     stop = -1 if half.shape[-1] == grid.points_per_axis // 2 + 1 else None
     return grid.box_length**grid.dim * (mags.sum() + mags[..., 1:stop].sum())
 
 
 def l2_inner(a: SpectralField, b: SpectralField) -> float:
-    """Real L^2 pairing integral a . b via Parseval."""
+    """Real L^2 pairing integral a . b via Parseval over the half lattice (_half_parseval)."""
     _check_same_grid(a, b)
     if a.coeffs.shape != b.coeffs.shape:
         raise ValueError("inner product needs fields of equal rank")
-    total = np.sum(a.coeffs * np.conj(b.coeffs))
-    return float(np.real(total) * a.grid.box_length**a.grid.dim)
+    return float(_half_parseval(_half(a.coeffs, a.grid), a.grid, other=_half(b.coeffs, b.grid)))
 
 
 def sobolev_norm(field: SpectralField, s: float, p: float = 2, homogeneous: bool = True) -> float:
     """Multiplier Sobolev norm: |k|^s (homogeneous) or (1+|k|^2)^(s/2), then L^p.
 
+    The multiplier acts on the half lattice; p = 2 sums there by Parseval
+    (_half_parseval), other p take the quadrature of its inverse transform.
     The homogeneous version ignores the mean mode, so it is a norm only on
     mean-zero fields.
     """
-    g = field.grid
-    if homogeneous:
-        ksq = g.k_squared.copy()
-        zero = (0,) * g.dim
-        ksq[zero] = 1.0
-        mult = ksq ** (s / 2.0)
-        mult[zero] = 0.0
-    else:
-        mult = (1.0 + g.k_squared) ** (s / 2.0)
-    weighted = _apply_multiplier(field, mult)
+    if not p >= 1:  # NaN too
+        raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
+    grid = field.grid
+    ksq = _half_cube(grid, grid.points_per_axis // 2).k_squared
+    weighted = _half(field.coeffs, grid) * (_k_power(ksq, s) if homogeneous else (1.0 + ksq) ** (s / 2.0))
     if p == 2:
-        return l2_norm(weighted)
-    return lp_norm(weighted, p)
+        return float(np.sqrt(_half_parseval(weighted, grid)))
+    return _lp_quadrature(_irfft(weighted, grid), field.rank, grid, p)
 
 
 def relative_divergence(u: SpectralField) -> float:
-    """||div u||_2 / ||u||_2 with the convention 0 for the zero field."""
-    nu = l2_norm(u)
-    if nu == 0.0:
+    """||div u||_2 / ||u||_2 with the convention 0 for the zero field, both
+    summed over the half lattice (_half_parseval)."""
+    norm = l2_norm(u)
+    if norm == 0.0:
         return 0.0
-    return l2_norm(divergence(u)) / nu
+    grid = u.grid
+    div = _divergence(_half(u.coeffs, grid), u.rank, _half_cube(grid, grid.points_per_axis // 2).wavenumbers)
+    return float(np.sqrt(_half_parseval(div, grid))) / norm
 
 
 def require_solenoidal(u: SpectralField):

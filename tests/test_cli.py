@@ -35,9 +35,9 @@ class TestVerify:
         built = []
         init = DyadicPartition.__init__
 
-        def counting_init(self, grid, j_max):
+        def counting_init(self, grid):
             built.append(grid)
-            init(self, grid, j_max)
+            init(self, grid)
 
         monkeypatch.setattr(DyadicPartition, "__init__", counting_init)
         build_partition.cache_clear()
@@ -321,6 +321,10 @@ BAD_VALUES = [
     ["pipeline", "--alpha", "0"],
     # alpha^-2 of the energy envelope overflows a double
     ["pipeline", "--n", "16", "--steps", "8", "--alpha", "1e-200"],
+    # alpha^2, or alpha^2 max|k|^2 of the stress multiplier, overflows a double
+    ["solve", "--n", "16", "--alpha", "1e160", "--t-end", "0.0025"],
+    ["solve", "--n", "16", "--alpha", "1.3e154", "--t-end", "0.0025"],
+    ["pipeline", "--n", "16", "--steps", "8", "--alpha", "1e160"],
     ["pipeline", "--epsilon", "nan"],
     ["pipeline", "--q", "nan"],
     ["pipeline", "--data-scale", "nan"],

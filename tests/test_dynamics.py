@@ -57,7 +57,7 @@ from lanslab.dynamics import (
     _stress_multiplier,
     _weighted_sup,
 )
-from lanslab.spectral import _complete, _cut_half, _rfft
+from lanslab.spectral import _complete, _cut_half, _half_cube, _rfft
 from lanslab.monitor import energy_pair
 from conftest import mirrored, zero_field
 
@@ -582,7 +582,7 @@ class TestBeltramiOracle:
         traj = solve_lans(u0, cfg, 0.08, 0.01)
         assert len(traj) == 9
         for t, state in zip(traj.times, traj):
-            ref = heat_propagate(u0, t, cfg.nu)
+            ref = heat_propagate(u0, cfg.nu * t)
             assert l2_norm(state - ref) <= 1e-13 * l2_norm(ref)
 
 
@@ -604,12 +604,6 @@ class TestHeatPropagator:
             0.5 * HEAT_FACTOR_K2_T01, rel=1e-13
         )
 
-    def test_viscosity_scaling(self, grid16_mod):
-        f = band_field(grid16_mod, 2)
-        a = heat_propagate(f, 0.2, nu=0.5)
-        b = heat_propagate(f, 0.1, nu=1.0)
-        assert l2_norm(a - b) <= 1e-13 * l2_norm(b)
-
     def test_negative_time_rejected(self, grid16_mod):
         with pytest.raises(ValueError):
             heat_propagate(band_field(grid16_mod, 3), -0.1)
@@ -620,13 +614,8 @@ class TestHeatPropagator:
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, grid16_mod, t):
-        with pytest.raises(ValueError, match=f"got t={t}, nu=1.0"):
+        with pytest.raises(ValueError, match=f"needs a finite t, got t={t}$"):
             heat_propagate(band_field(grid16_mod, 3), t)
-
-    @pytest.mark.parametrize("nu", [np.nan, np.inf, -0.5])
-    def test_bad_viscosity_rejected(self, grid16_mod, nu):
-        with pytest.raises(ValueError, match=f"got t=0.1, nu={nu}"):
-            heat_propagate(band_field(grid16_mod, 3), 0.1, nu)
 
     @pytest.mark.parametrize("grid", [TorusGrid(dim=3, points_per_axis=16), TorusGrid(dim=2, points_per_axis=32),
                                       TorusGrid(dim=3, points_per_axis=16, box_length=5.0)], ids=str)
@@ -637,7 +626,7 @@ class TestHeatPropagator:
         f = forward_transform(np.random.default_rng(seed).standard_normal((grid.dim,) * rank + grid.shape), grid)
         f = dealias(f) if in_cube else f
         want = f.coeffs * np.exp(-0.7 * t * grid.k_squared)
-        assert np.array_equal(heat_propagate(f, t, 0.7).coeffs, want)
+        assert np.array_equal(heat_propagate(f, 0.7 * t).coeffs, want)
 
 
 def tail_distance(rerun, traj, i):
@@ -753,7 +742,7 @@ def lattice_duhamel(traj, u0, cfg, v_traj=None):
     step = np.exp(-cfg.nu * dt * grid.k_squared)
     n = [nonlinear_rhs(u, cfg, v).coeffs for u, v in zip(traj, nodes_at(v_traj, times))]
     if times[0] > 0:
-        heat = heat_propagate(u0, times[0], cfg.nu).coeffs
+        heat = heat_propagate(u0, cfg.nu * times[0]).coeffs
         states = [heat]
     else:
         heat, states = u0.coeffs, [dealias(u0).coeffs]
@@ -822,7 +811,7 @@ class TestLatticeOracle:
         mcfg = MildSolverConfig(t_end=0.02, dt=0.005, weight_index=BesovIndex(1.5, 2.0, 2.0))
         u0 = band_field(grid, 76, k_max=5.0) if data == "in_cube" else projected_noise(grid, 76)
         times = t0 + mcfg.time_nodes()
-        traj = Trajectory(times, [heat_propagate(u0, t, cfg.nu) for t in times], config=cfg)
+        traj = Trajectory(times, [heat_propagate(u0, cfg.nu * t) for t in times], config=cfg)
         v_traj = solve_lans(band_field(grid, 77, k_max=5.0), cfg, 0.04, 0.005)
         for v in (None, v_traj):
             assert_same_trajectory(duhamel_map(traj, u0, cfg, mcfg, v), lattice_duhamel(traj, u0, cfg, v))
@@ -909,6 +898,25 @@ class TestPhiFactors:
             for got, want in zip((e[i], phi1[i], phi2[i]), ref):
                 assert abs(got - want) <= 1e-14 * abs(want), (zi, got, want)
 
+    def test_huge_arguments_warn_nothing(self):
+        # phi2 ~ 1/|z|: z^2 overflows above |z| ~ 1.34e154, so phi2 is
+        # (phi1 - 1)/z there; the series runs only below |z| = 1
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        z = np.array([-1e20, -1e200, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e, phi1, phi2 = _phi_factors(z)
+        assert np.all(e == 0.0)
+        for zi, got1, got2 in zip(z, phi1, phi2):
+            x = mpmath.mpf(zi)
+            for got, want in ((got1, mpmath.expm1(x) / x), (got2, (mpmath.expm1(x) - x) / x**2)):
+                assert abs(got - want) <= 1e-14 * abs(want), (zi, got, want)
+        # nu dt |k|^2 past the largest double: every factor is its limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [float(a[0]) for a in _phi_factors(np.array([-np.inf]))] == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("z", [-1e-320, -5e-324])
     def test_subnormal_arguments_warn_nothing(self, z):
         # z^2 underflows to 0 there; the closed form of phi2 is not evaluated
@@ -933,7 +941,7 @@ class TestWeightedNorms:
     def test_a_zero_is_plain_sup(self, cfg16, grid16_mod, part16_mod):
         u0 = band_field(grid16_mod, 1)
         times = 0.00625 * np.arange(9)
-        traj = Trajectory(times, [heat_propagate(u0, t, cfg16.nu) for t in times])
+        traj = Trajectory(times, [heat_propagate(u0, cfg16.nu * t) for t in times])
         idx = BesovIndex(1.5, 2.0, 2.0)
         sup = max(part16_mod.besov_norm(s, idx) for s in traj)
         assert _weighted_sup([traj], [], 0.0, idx) == pytest.approx(sup, rel=1e-12)
@@ -1000,9 +1008,9 @@ class TestPicard:
         calls = []
         original = spectral.heat_propagate
 
-        def counting(f, t, nu=1.0):
+        def counting(f, t):
             calls.append(t)
-            return original(f, t, nu)
+            return original(f, t)
 
         monkeypatch.setattr(spectral, "heat_propagate", counting)
         monkeypatch.setattr(dynamics, "heat_propagate", counting)
@@ -1022,7 +1030,7 @@ class TestPicard:
             zero = Trajectory(times, [zero_field(grid16_mod)] * len(times))
             image = duhamel_map(zero, u0, cfg16, mcfg)
             for t, state in zip(times, image):
-                ref = heat_propagate(u0, t, cfg16.nu)
+                ref = heat_propagate(u0, cfg16.nu * t)
                 assert l2_norm(state - ref) <= 1e-14 * l2_norm(ref)
 
     def test_fixed_point_residual(self, cfg16, grid16_mod, part16_mod):
@@ -1105,7 +1113,7 @@ class TestPicard:
         with pytest.raises(PicardDivergenceError) as err:
             picard_iterate(u0, None, cfg16, mcfg)
         times = mcfg.time_nodes()
-        heat = Trajectory(times, [heat_propagate(u0, t, cfg16.nu) for t in times])
+        heat = Trajectory(times, [heat_propagate(u0, cfg16.nu * t) for t in times])
         image = duhamel_map(heat, u0, cfg16, mcfg)
         delta = err.value.history[0].delta_norm
         assert delta == pytest.approx(_weighted_sup([image], [heat], 0.5, idx), rel=1e-10)
@@ -1118,10 +1126,29 @@ class TestConfigValidation:
             MildSolverConfig(t_end=0.1, dt=-0.01, weight_index=BesovIndex(1.5))
 
     def test_bad_contraction_target(self):
-        with pytest.raises(ValueError):
-            MildSolverConfig(
-                t_end=0.1, dt=0.01, weight_index=BesovIndex(1.5), contraction_target=0.0
-            )
+        # a ratio >= 1 certifies no contraction
+        for target in (0.0, 1.0, 2.0, np.nan):
+            with pytest.raises(ValueError, match="contraction_target must lie in"):
+                MildSolverConfig(t_end=0.1, dt=0.01, weight_index=BesovIndex(1.5), contraction_target=target)
+
+    @pytest.mark.parametrize("n, alpha", [(16, 1e160), (16, 1.3e154), (64, 4e152)])
+    def test_alpha_whose_stress_factors_overflow_is_named(self, n, alpha):
+        # alpha^2 = inf, or alpha^2 max|k|^2 = inf with max|k|^2 = 3 (N/2)^2
+        with pytest.raises(ValueError, match=re.escape(f"got alpha = {alpha}") + "$"):
+            LansConfig(grid=TorusGrid(dim=3, points_per_axis=n), alpha=alpha)
+
+    def test_largest_alpha_keeps_the_stress_multiplier(self):
+        # alpha^2 max|k|^2 just below the overflow threshold: the multiplier
+        # is about 1/(2|k|^2) away from the mean mode, not 0
+        grid = TorusGrid(dim=3, points_per_axis=16)
+        alpha = 0.999 * np.sqrt(np.finfo(float).max / (3 * 8.0**2))
+        cfg = LansConfig(grid=grid, alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mult = dynamics._stress_multiplier(cfg.grid, cfg.alpha)
+        ksq = _half_cube(grid, grid.dealias_keep).k_squared
+        away = ksq > 0
+        np.testing.assert_allclose(mult[away], 0.5 / ksq[away], rtol=1e-12)
 
     @pytest.mark.parametrize("dt", [0.0, -0.0025])
     def test_march_rejects_nonpositive_dt(self, cfg16, grid16_mod, dt):

@@ -13,7 +13,6 @@ from lanslab import (
     SplitError,
     TorusGrid,
     Trajectory,
-    build_partition,
     calibrate_gronwall_constant,
     cancellation_check,
     energy_pair,
@@ -241,8 +240,9 @@ class TestSplit:
 
     def test_scan_is_monotone(self, grid32, rng):
         w0 = random_solenoidal(grid32, rng, k_min=1.0, k_max=8.0)
-        scfg = SplitConfig(6.0, 30.0, 1e9, j_cut=0)
+        scfg = SplitConfig(6.0, 30.0, 1e9)
         res = split_with_report(w0, scfg)
+        assert res.tail_norms_scanned[0][0] == 1  # the scan starts at level 1
         norms = [v for _, v in res.tail_norms_scanned]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
 
@@ -253,12 +253,6 @@ class TestSplit:
             split_with_report(w0, scfg)
         assert err.value.achievable > 0.0
         assert "unreachable" in str(err.value)
-
-    def test_cut_above_top_level_is_named(self, grid16, rng):
-        w0 = random_solenoidal(grid16, rng, k_min=1.0, k_max=4.0)
-        assert build_partition(grid16).j_max == 1
-        with pytest.raises(ValueError, match=r"j_cut=5 .* j_max=1"):
-            split_with_report(w0, SplitConfig(6.0, 30.0, 1e-3, j_cut=5))
 
     def test_convexity_relation_enforced(self):
         good = SplitConfig(6.0, 30.0, 1e-3)

@@ -103,11 +103,32 @@ def _settings(tree) -> list:
     return found
 
 
+# settings that only the unit tests set, each kept for its reason
+TEST_ONLY_SETTINGS = {
+    # tier-1 runs the verifiers on small ensembles and few levels to keep its wall time down
+    "inequality_lab.verify_bernstein(levels=)",
+    "inequality_lab.verify_bernstein(per_level=)",
+    "inequality_lab.verify_heat_smoothing(ensemble=)",
+    "inequality_lab.verify_heat_smoothing(levels=)",
+    "inequality_lab.verify_embedding(ensemble=)",
+    "inequality_lab.verify_ladyzhenskaya(ensemble=)",
+    # the benchmark's tracer pins power_law_field; ROADMAP item 9 decides its fate
+    "ensembles.power_law_field(k_min=)",
+    "ensembles.power_law_field(k_max=)",
+    "ensembles.power_law_field(coherent=)",
+    "ensembles.power_law_field(lead=)",
+}
+
+
 def test_every_default_is_set_by_some_caller():
-    # a default that no call overrides is a constant dressed as an option:
-    # function and method parameters and dataclass fields alike
+    # a default that no real caller overrides is a constant dressed as an
+    # option: function and method parameters and dataclass fields alike.
+    # Real callers are the package, the benchmark and the acceptance
+    # criteria; a unit test alone does not justify an option
     package = Path(lanslab.__file__).parent
-    sources = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    root = Path(__file__).resolve().parents[1]
+    sources = (sorted(package.glob("*.py")) + sorted((root / "lansbench").glob("*.py"))
+               + [root / "tests" / "test_acceptance.py"])
     calls = {}
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -121,7 +142,8 @@ def test_every_default_is_set_by_some_caller():
             unset += [f"{path.stem}.{label}({name}=)" for position, name in defaulted
                       if not any(_passes(call, position, name) for call in calls.get(called, []))]
     assert checked > 0
-    assert unset == []
+    assert sorted(set(unset) - TEST_ONLY_SETTINGS) == []
+    assert sorted(TEST_ONLY_SETTINGS - set(unset)) == []  # an entry that a real caller sets is stale
 
 
 def test_names_the_benchmark_traces_resolve():

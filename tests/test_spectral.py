@@ -4,17 +4,21 @@ Every numeric expectation here is frozen from a hand computation on the
 2 pi torus; none is read back from the implementation.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lanslab import (
+    BesovIndex,
     GridMismatchError,
     LansConfig,
     SingularModeError,
     SolenoidalityError,
     SpectralField,
     TorusGrid,
+    build_partition,
     dealias,
     divergence,
     forward_transform,
@@ -520,9 +524,9 @@ PARSEVAL_GRIDS = [TorusGrid(dim=d, points_per_axis=n, box_length=length)
 
 class TestHalfCubeParseval:
     """_half_parseval on a half cube (band K) or the half lattice (band N/2,
-    Nyquist plane m_last = N/2 present) gives l2_norm and the energy pair,
-    composed from l2_norm and the homogeneous H^1 sobolev_norm, of the
-    completed field."""
+    Nyquist plane m_last = N/2 present) gives the full-lattice sums
+    L^n sum |c|^2 and L^n sum (1 + alpha^2 |k|^2) |c|^2 of the completed
+    field, and L^n sum Re(c conj d) of two completed fields."""
 
     @pytest.mark.parametrize("grid", PARSEVAL_GRIDS,
                              ids=[f"{g.points_per_axis}^{g.dim}-L{g.box_length:.3g}" for g in PARSEVAL_GRIDS])
@@ -534,7 +538,47 @@ class TestHalfCubeParseval:
         noise = scale * np.random.default_rng(seed).standard_normal((grid.dim,) * rank + grid.shape)
         half = _cut_half(forward_transform(noise, grid).coeffs, grid, band)
         field = SpectralField(grid, _complete(half, grid, band))
+        volume = grid.box_length**grid.dim
         l2sq = _half_parseval(half, grid)
         pair = l2sq + alpha**2 * _half_parseval(half, grid, _half_cube(grid, band).k_squared)
-        assert np.sqrt(l2sq) == pytest.approx(l2_norm(field), rel=1e-14)
-        assert pair == pytest.approx(l2_norm(field) ** 2 + alpha**2 * sobolev_norm(field, 1.0) ** 2, rel=1e-14)
+        assert l2sq == pytest.approx(volume * np.sum(np.abs(field.coeffs) ** 2), rel=1e-14)
+        want = volume * np.sum((1.0 + alpha**2 * grid.k_squared) * np.abs(field.coeffs) ** 2)
+        assert pair == pytest.approx(want, rel=1e-14)
+        other = _cut_half(forward_transform(np.roll(noise, 1, axis=-1), grid).coeffs, grid, band)
+        inner = volume * np.sum(field.coeffs * np.conj(_complete(other, grid, band))).real
+        assert _half_parseval(half, grid, other=other) == pytest.approx(inner, rel=1e-12, abs=1e-14 * l2sq)
+
+
+class TestOneSpectralSum:
+    def test_every_l2_norm_reaches_half_parseval(self, grid16, rng, monkeypatch):
+        # _half_parseval is patched in every module that binds it, and each
+        # norm must call it at least once
+        from lanslab import spectral
+        from lanslab.monitor import energy_pair
+
+        calls = []
+        original = spectral._half_parseval
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        modules = [m for name, m in sys.modules.items()
+                   if name.startswith("lanslab.") and getattr(m, "_half_parseval", None) is original]
+        assert {m.__name__ for m in modules} >= {"lanslab.spectral", "lanslab.littlewood_paley", "lanslab.monitor"}
+        for module in modules:
+            monkeypatch.setattr(module, "_half_parseval", counting)
+        u = random_solenoidal(grid16, rng, k_min=1.0, k_max=4.0)
+        v = random_solenoidal(grid16, rng, k_min=1.0, k_max=4.0)
+        norms = {
+            "l2_norm": lambda: l2_norm(u),
+            "l2_inner": lambda: l2_inner(u, v),
+            "sobolev_norm": lambda: sobolev_norm(u, 1.5, 2),
+            "relative_divergence": lambda: relative_divergence(u + gradient(SpectralField(grid16, u.coeffs[0]))),
+            "energy_pair": lambda: energy_pair(u, 0.3),
+            "besov_norm": lambda: build_partition(grid16).besov_norm(u, BesovIndex(1.5, 2.0, 2.0)),
+        }
+        for name, norm in norms.items():
+            calls.clear()
+            assert norm() > 0.0, name
+            assert calls, name
